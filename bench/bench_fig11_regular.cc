@@ -26,11 +26,11 @@ main()
                 " baseline) --\n");
     {
         RunConfig berti;
-        berti.l1 = L1Pf::Berti;
+        berti.l1 = "berti";
         RunConfig berti_tg = berti;
-        berti_tg.l2 = L2Pf::Triangel;
+        berti_tg.l2 = "triangel";
         RunConfig berti_sl = berti;
-        berti_sl.l2 = L2Pf::Streamline;
+        berti_sl.l2 = "streamline";
         std::printf("berti alone       %+6.1f%%\n",
                     100 * (geomeanSpeedup(workloads, berti, scale) - 1));
         std::printf("berti + triangel  %+6.1f%%\n",

@@ -130,11 +130,11 @@ main()
     };
 
     RunConfig sl_tpmj;
-    sl_tpmj.l2 = L2Pf::Streamline;
+    sl_tpmj.l2 = "streamline";
     RunConfig sl_srrip = sl_tpmj;
     sl_srrip.streamline.useTpMockingjay = false;
     RunConfig tg_srrip;
-    tg_srrip.l2 = L2Pf::Triangel;
+    tg_srrip.l2 = "triangel";
     RunConfig tg_tpmj = tg_srrip;
     tg_tpmj.triangel.useTpMockingjay = true;
 

@@ -333,8 +333,9 @@ main()
     // Telemetry overhead probe: the streamline/spec06_mcf cell again with
     // interval sampling + histograms enabled (no output files), against
     // the telemetry-off measurement from the matrix above. The disabled
-    // path itself is guarded separately: check.sh's simspeed stage fails
-    // any matrix cell below 0.98x the recorded telemetry-free baseline.
+    // path has no gate of its own: check.sh's simspeed stage fails only a
+    // matrix cell below 0.75x (SL_SIMSPEED_FLOOR) of its recorded
+    // baseline.
     sl::TelemetryConfig tcfg;
     tcfg.enabled = true;
     const Cell on = timeCell("streamline+telemetry", "streamline",

@@ -313,7 +313,7 @@ geomeanSpeedup(const std::vector<std::string>& workloads,
 {
     warmBaselines(workloads, scale);
     const auto runs = runAcross(
-        cfg, workloads, scale, cfg.l1Name() + "+" + cfg.l2Name());
+        cfg, workloads, scale, cfg.l1 + "+" + cfg.l2);
     std::vector<double> speedups;
     for (std::size_t i = 0; i < workloads.size(); ++i)
         speedups.push_back(runs[i].cores[0].ipc /

@@ -29,16 +29,16 @@ main(int argc, char** argv)
     sl::RunConfig cfg;
     cfg.traceScale = scale;
 
-    cfg.l2 = sl::L2Pf::None;
+    cfg.l2 = "none";
     const auto base = sl::runWorkload(cfg, workload);
     std::printf("%-12s %8.3f %8s %9s %9s %12s\n", "none",
                 base.cores[0].ipc, "1.000", "-", "-", "-");
 
-    for (sl::L2Pf pf : {sl::L2Pf::Triangel, sl::L2Pf::Streamline}) {
+    for (const char* pf : {"triangel", "streamline"}) {
         cfg.l2 = pf;
         const auto r = sl::runWorkload(cfg, workload);
         std::printf("%-12s %8.3f %8.3f %8.1f%% %8.1f%% %12llu\n",
-                    sl::l2PfName(pf), r.cores[0].ipc,
+                    pf, r.cores[0].ipc,
                     r.cores[0].ipc / base.cores[0].ipc,
                     100.0 * r.cores[0].coverage(),
                     100.0 * r.cores[0].accuracy(),

@@ -3,15 +3,18 @@
 # again under ASan+UBSan (-DSL_SANITIZE=ON). Run from the repo root:
 #
 #   scripts/check.sh            # all modes
-#   scripts/check.sh plain      # plain build only
+#   scripts/check.sh plain      # plain build only (-Werror)
 #   scripts/check.sh sanitize   # sanitizer build only
 #   scripts/check.sh simspeed   # simulator-speed gate (relative + hard floors)
 #   scripts/check.sh telemetry  # instrumented run + export validation
 #   scripts/check.sh resilience # hang-timeout kill + manifest resume
-#   scripts/check.sh multicore  # 2-core ASan smoke + single-core digest gate
-#   scripts/check.sh tracecache # persistent trace cache: cold/warm/corruption
-#   scripts/check.sh fastwake   # fast-wake mode: equivalence + speedup gate
-#   scripts/check.sh sampling   # sampled runs: fidelity + speedup + resume
+#   scripts/check.sh multicore  # 2-core ASan smoke
+#   scripts/check.sh fastwake   # fast-wake mode: ASan smoke + speedup gate
+#   scripts/check.sh sampling   # sampled runs: ASan smoke + fidelity/speed
+#
+# The modes after `sanitize` add what ctest cannot cover: runs of the
+# sl_run CLI and wall-clock gates. Unit and golden-digest tests belong
+# in ctest, which the plain and sanitize modes already run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -181,51 +184,6 @@ if failures:
 EOF
 }
 
-# Trace-cache stage (DESIGN.md §13): a cold run must publish a cache
-# file, a warm run must mmap it and produce byte-identical output, a
-# cache-less run must match both (the cache may never change results),
-# and a corrupted file must be detected, reported, regenerated, and
-# healed in place.
-tracecache() {
-    local dir="$1"
-    echo "== trace cache: cold/warm/corruption (${dir}) =="
-    cmake --build "${dir}" --target sl_run -j
-    local cache="${dir}/trace_cache_check"
-    rm -rf "${cache}"
-    local run=("${dir}/src/sim/sl_run" --l2 streamline --scale 0.05
-               gap_bfs)
-    SL_DUMP_STATS=1 SL_TRACE_CACHE="${cache}" "${run[@]}" \
-        > "${dir}/tc_cold.out"
-    test -s "${cache}"/gap_bfs_*.sltc
-    SL_DUMP_STATS=1 SL_TRACE_CACHE="${cache}" "${run[@]}" \
-        > "${dir}/tc_warm.out"
-    cmp "${dir}/tc_cold.out" "${dir}/tc_warm.out"
-    SL_DUMP_STATS=1 "${run[@]}" > "${dir}/tc_off.out"
-    cmp "${dir}/tc_cold.out" "${dir}/tc_off.out"
-    echo "cold == warm == cache-less (stats bit-identical)"
-
-    # Flip one payload byte: the next run must note the CRC failure on
-    # stderr, regenerate transparently, and republish a healthy file.
-    python3 - "${cache}"/gap_bfs_*.sltc <<'EOF'
-import sys
-with open(sys.argv[1], "r+b") as f:
-    f.seek(200)
-    b = f.read(1)[0]
-    f.seek(200)
-    f.write(bytes([b ^ 0x55]))
-EOF
-    SL_DUMP_STATS=1 SL_TRACE_CACHE="${cache}" "${run[@]}" \
-        > "${dir}/tc_heal.out" 2> "${dir}/tc_heal.err"
-    grep -q 'trace cache:.*regenerating' "${dir}/tc_heal.err"
-    cmp "${dir}/tc_cold.out" "${dir}/tc_heal.out"
-    SL_DUMP_STATS=1 SL_TRACE_CACHE="${cache}" "${run[@]}" \
-        > "${dir}/tc_rewarm.out" 2> "${dir}/tc_rewarm.err"
-    test ! -s "${dir}/tc_rewarm.err"
-    cmp "${dir}/tc_cold.out" "${dir}/tc_rewarm.out"
-    rm -rf "${cache}"
-    echo "corrupt file detected, regenerated, and healed in place"
-}
-
 # Resilience stage: a sweep job armed with a lost-request fault and a
 # wall-clock budget far below its runtime. The job timeout must kill it
 # (snapshotting the hung state first) and journal it as failed; the
@@ -317,29 +275,23 @@ EOF
 
 # Fast-wake stage (DESIGN.md §14): the opt-in scheduling mode that
 # virtualizes retry polls into wakeup lists and cache-to-cache event
-# hops into direct calls. Four gates: (a) the mode-equivalence harness
-# and fast-wake golden digests (gtest: identical retired counts, IPC
-# within the documented 15% tolerance, pinned full-run stat digests,
-# cross-mode snapshot rejection), (b) a fast-wake snapshot round trip
-# is part of the same filter, (c) an ASan+UBSan fast-wake run of the
-# retry-storm workload, and (d) the measured speedup: bench_simspeed's
+# hops into direct calls. Its equivalence harness and golden digests
+# run in ctest. Two gates here: (a) an ASan+UBSan fast-wake run of the
+# retry-storm workload, and (b) the measured speedup: bench_simspeed's
 # fast-wake matrix at SL_FASTWAKE_SCALE (default 0.25, the acceptance
 # scale) must show every gap_bfs cell's median ratio above
 # SL_FASTWAKE_FLOOR (default 1.8; 0 disables, e.g. under emulation or
 # on heavily contended hardware).
 fastwake() {
     local dir="$1" sandir="$2"
-    echo "== fastwake: equivalence + digests + ASan smoke + speed gate =="
-    cmake --build "${dir}" --target sl_tests bench_simspeed -j
-    "${dir}/tests/sl_tests" --gtest_brief=1 --gtest_filter='FastWake*'
-    echo "fast-wake equivalence harness and golden digests green"
-
+    echo "== fastwake: ASan smoke + speed gate =="
     cmake --build "${sandir}" --target sl_run -j
     "${sandir}/src/sim/sl_run" --l2 streamline --scale 0.05 --fast-wake \
         gap_bfs > "${sandir}/fastwake_smoke.out"
     grep -q 'gap_bfs ipc=' "${sandir}/fastwake_smoke.out"
     echo "fast-wake ASan gap_bfs smoke green"
 
+    cmake --build "${dir}" --target bench_simspeed -j
     local out="${dir}/bench_fastwake.out"
     SL_BENCH_SCALE="${SL_FASTWAKE_SCALE:-0.25}" SL_JOBS=1 \
         SL_SIMSPEED_FASTWAKE_ONLY=1 \
@@ -372,12 +324,11 @@ EOF
 }
 
 # Sampling stage (DESIGN.md §15): the sampled + checkpointed runner.
-# Three gates: (a) the sampling unit tests (reassembly fixtures,
-# profile/k-means determinism, checkpoint reuse, and the kill + resume
-# byte-identity test), (b) an ASan+UBSan sampled run end-to-end (the
-# functional-warmup and restore paths shake out memory errors at tiny
-# scale), and (c) fidelity + speedup at paper scale: bench_sampling
-# runs {streamline,triage,triangel} x {spec06_mcf,gap_bfs} full and
+# Its unit, determinism and resume tests run in ctest. Two gates here:
+# (a) an ASan+UBSan sampled run end-to-end (the functional-warmup and
+# restore paths shake out memory errors at tiny scale), and (b)
+# fidelity + speedup at paper scale: bench_sampling runs
+# {streamline,triage,triangel} x {spec06_mcf,gap_bfs} full and
 # sampled, and every cell's IPC relative error must stay within
 # SL_SAMPLING_ERR (default 0.03 -- IPC is deterministic, so this gate
 # is noise-free) while the aggregate warm-checkpoint speedup must stay
@@ -386,11 +337,7 @@ EOF
 # e.g. under emulation).
 sampling() {
     local dir="$1" sandir="$2"
-    echo "== sampling: unit tests + ASan smoke + fidelity/speed gate =="
-    cmake --build "${dir}" --target sl_tests bench_sampling -j
-    "${dir}/tests/sl_tests" --gtest_brief=1 --gtest_filter='Sampling*'
-    echo "sampling unit, determinism, and resume tests green"
-
+    echo "== sampling: ASan smoke + fidelity/speed gate =="
     cmake --build "${sandir}" --target sl_run -j
     local sckpt="${sandir}/sampling_ckpt"
     rm -rf "${sckpt}"
@@ -402,6 +349,7 @@ sampling() {
     rm -rf "${sckpt}"
     echo "sampled-run ASan smoke green"
 
+    cmake --build "${dir}" --target bench_sampling -j
     local out="${dir}/bench_sampling.out"
     local ckpt="${dir}/sampling_ckpt"
     rm -rf "${ckpt}"
@@ -448,37 +396,27 @@ EOF
 
 # Multicore stage: the shared memory system (per-channel DRAM scheduler,
 # LLC arbiter with MSHR quotas, MemPressure prefetch demotion) only
-# exists when cores > 1 and must be inert otherwise. Two assertions:
-# a 2-core mix under ASan+UBSan shakes memory errors out of the new
-# queue/arbiter/pressure paths, and the golden-digest oracle proves the
-# single-core stat digests stayed bit-identical through the refactor.
+# exists when cores > 1. A 2-core mix under ASan+UBSan shakes memory
+# errors out of the queue/arbiter/pressure paths; the single-core
+# golden digests that prove them inert otherwise run in ctest.
 multicore() {
-    local dir="$1" sandir="$2"
-    echo "== multicore: 2-core ASan smoke + 1-core digest gate =="
+    local sandir="$1"
+    echo "== multicore: 2-core ASan smoke =="
     cmake --build "${sandir}" --target sl_run -j
     "${sandir}/src/sim/sl_run" --l2 streamline --scale 0.05 \
         --mix spec06_mcf,gap_bfs > "${sandir}/multicore_smoke.out"
     grep -q 'core 0: spec06_mcf ipc=' "${sandir}/multicore_smoke.out"
     grep -q 'core 1: gap_bfs ipc=' "${sandir}/multicore_smoke.out"
     echo "2-core ASan smoke mix green"
-    cmake --build "${dir}" --target sl_tests -j
-    "${dir}/tests/sl_tests" --gtest_brief=1 \
-        --gtest_filter='MetadataFastPathDeterminism.MatchesPreRefactorGoldenStats'
-    echo "single-core digests bit-identical to the golden oracle"
 }
 
 case "${MODE}" in
-  plain)    run_mode plain build; bench_smoke build; resilience build ;;
+  plain)    run_mode plain build -DCMAKE_CXX_FLAGS=-Werror; bench_smoke build; resilience build ;;
   sanitize) run_mode asan+ubsan build-asan -DSL_SANITIZE=ON ;;
   simspeed) cmake -B build -S .; simspeed build ;;
   telemetry) cmake -B build -S .; telemetry build ;;
   resilience) cmake -B build -S .; resilience build ;;
-  multicore)
-    cmake -B build -S .
-    cmake -B build-asan -S . -DSL_SANITIZE=ON
-    multicore build build-asan
-    ;;
-  tracecache) cmake -B build -S .; tracecache build ;;
+  multicore) cmake -B build-asan -S . -DSL_SANITIZE=ON; multicore build-asan ;;
   fastwake)
     cmake -B build -S .
     cmake -B build-asan -S . -DSL_SANITIZE=ON
@@ -490,18 +428,17 @@ case "${MODE}" in
     sampling build build-asan
     ;;
   all)
-    run_mode plain build
+    run_mode plain build -DCMAKE_CXX_FLAGS=-Werror
     bench_smoke build
     telemetry build
     resilience build
-    tracecache build
     run_mode asan+ubsan build-asan -DSL_SANITIZE=ON
-    multicore build build-asan
+    multicore build-asan
     fastwake build build-asan
     sampling build build-asan
     simspeed build
     ;;
-  *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|tracecache|fastwake|sampling|all]" >&2
+  *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|fastwake|sampling|all]" >&2
      exit 2 ;;
 esac
 

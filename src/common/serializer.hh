@@ -37,9 +37,8 @@ namespace sl
  * Produces the same values as the classic one-table byte loop — the
  * eight tables are just the byte table composed with itself, so the
  * polynomial division is unchanged — but consumes 8 bytes per step
- * (~8x the throughput). Snapshot guards and the trace cache CRC whole
- * multi-MB payloads on every load, which made the byte loop the
- * dominant cost of a warm start.
+ * (~8x the throughput). Snapshot guards CRC whole multi-MB payloads on
+ * every load.
  */
 inline std::uint32_t
 crc32(const void* data, std::size_t len, std::uint32_t seed = 0)

@@ -285,8 +285,8 @@ std::string
 toJson(const RunConfig& cfg)
 {
     std::ostringstream os;
-    os << "{\"l1\":\"" << jsonEscape(cfg.l1Name()) << "\""
-       << ",\"l2\":\"" << jsonEscape(cfg.l2Name()) << "\""
+    os << "{\"l1\":\"" << jsonEscape(cfg.l1) << "\""
+       << ",\"l2\":\"" << jsonEscape(cfg.l2) << "\""
        << ",\"cores\":" << cfg.cores
        << ",\"dram_mts\":" << cfg.dramMTs
        << ",\"trace_scale\":" << jsonNumber(cfg.traceScale)

@@ -40,7 +40,7 @@ struct ExperimentSpec
      * identity (record range) in the label instead. A BatchOptions
      * jobTimeoutSec overrides the hook's wallTimeoutSec.
      */
-    RunHooks hooks;
+    RunHooks hooks{};
 };
 
 /** Outcome of one job. */

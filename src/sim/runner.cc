@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -21,29 +20,6 @@
 
 namespace sl
 {
-
-const char*
-l1PfName(L1Pf p)
-{
-    static constexpr const char* names[] = {"none", "stride", "berti"};
-    const auto i = static_cast<std::size_t>(p);
-    SL_REQUIRE(i < std::size(names), "run_config",
-               "L1Pf value " << i << " has no registry name");
-    return names[i];
-}
-
-const char*
-l2PfName(L2Pf p)
-{
-    static constexpr const char* names[] = {
-        "none",      "streamline",   "triangel",
-        "triangel_ideal", "triage",  "triage_ideal",
-        "ipcp",      "bingo",        "spp_ppf"};
-    const auto i = static_cast<std::size_t>(p);
-    SL_REQUIRE(i < std::size(names), "run_config",
-               "L2Pf value " << i << " has no registry name");
-    return names[i];
-}
 
 namespace
 {
@@ -104,10 +80,8 @@ systemConfigFor(const RunConfig& cfg)
     SystemConfig sc;
     sc.cores = cfg.cores;
     sc.dramMTs = cfg.dramMTs;
-    sc.l1dPrefetcher = reg.make(cfg.l1Name(), PrefetcherRegistry::L1,
-                                tuning);
-    sc.l2Prefetcher = reg.make(cfg.l2Name(), PrefetcherRegistry::L2,
-                               tuning);
+    sc.l1dPrefetcher = reg.make(cfg.l1, PrefetcherRegistry::L1, tuning);
+    sc.l2Prefetcher = reg.make(cfg.l2, PrefetcherRegistry::L2, tuning);
     sc.faults = cfg.faults;
     sc.hardening = cfg.hardening;
     sc.telemetry = cfg.telemetry;
@@ -129,8 +103,8 @@ RunConfig::validate() const
     hardening.validate();
     telemetry.validate();
     PrefetcherRegistry& reg = prefetcherRegistry();
-    reg.require(l1Name(), PrefetcherRegistry::L1);
-    reg.require(l2Name(), PrefetcherRegistry::L2);
+    reg.require(l1, PrefetcherRegistry::L1);
+    reg.require(l2, PrefetcherRegistry::L2);
 }
 
 std::string
@@ -151,8 +125,8 @@ formatReproBundle(const RunConfig& cfg,
     os << "trace_scale = " << cfg.traceScale << " (resolved "
        << (cfg.traceScale > 0 ? cfg.traceScale : defaultTraceScale())
        << ")\n";
-    os << "l1_prefetcher = " << cfg.l1Name() << "\n";
-    os << "l2_prefetcher = " << cfg.l2Name() << "\n";
+    os << "l1_prefetcher = " << cfg.l1 << "\n";
+    os << "l2_prefetcher = " << cfg.l2 << "\n";
     if (cfg.fastWake)
         os << "sched_mode = fast_wake\n";
     os << "dram_mts = " << cfg.dramMTs << "\n";
@@ -392,7 +366,7 @@ irregularSubset(double scale)
     RunConfig base;
     base.traceScale = scale;
     RunConfig ideal = base;
-    ideal.l2 = L2Pf::TriageIdeal;
+    ideal.l2 = "triage_ideal";
 
     std::vector<ExperimentSpec> specs;
     for (const auto& w : names) {
@@ -729,11 +703,11 @@ runnerMain(int argc, char** argv)
         } else if (arg == "--l1") {
             if (!(v = value(i, "--l1")))
                 return 2;
-            cfg.l1 = PfSel(v);
+            cfg.l1 = v;
         } else if (arg == "--l2") {
             if (!(v = value(i, "--l2")))
                 return 2;
-            cfg.l2 = PfSel(v);
+            cfg.l2 = v;
         } else if (arg == "--cores") {
             if (!(v = value(i, "--cores")))
                 return 2;
@@ -869,8 +843,8 @@ runnerMain(int argc, char** argv)
     // Friendly up-front name checks: print the registered names instead
     // of an exception trace (getTrace throws std::invalid_argument for
     // unknown workloads, which would otherwise escape main).
-    if (!checkPrefetcher(cfg.l1Name(), PrefetcherRegistry::L1, "--l1") ||
-        !checkPrefetcher(cfg.l2Name(), PrefetcherRegistry::L2, "--l2"))
+    if (!checkPrefetcher(cfg.l1, PrefetcherRegistry::L1, "--l1") ||
+        !checkPrefetcher(cfg.l2, PrefetcherRegistry::L2, "--l2"))
         return 2;
     const std::vector<std::string> known = workloadNames();
     for (const auto& w : workloads) {

@@ -22,69 +22,12 @@
 namespace sl
 {
 
-/**
- * Legacy L1D prefetcher selection. The registry
- * (prefetch/registry.hh) owns the name space now; these enums survive as
- * thin shims so pre-registry call sites keep compiling.
- */
-enum class L1Pf { None, Stride, Berti };
-
-/** Legacy L2 prefetcher selection (see L1Pf). */
-enum class L2Pf
-{
-    None,
-    Streamline,
-    Triangel,
-    TriangelIdeal,
-    Triage,
-    TriageIdeal,
-    Ipcp,
-    Bingo,
-    SppPpf
-};
-
-/** Registry name of a legacy enum value; throws SimError on a value
- *  outside the enum (e.g. a stale cast). */
-const char* l1PfName(L1Pf p);
-const char* l2PfName(L2Pf p);
-
-/**
- * A prefetcher selection: a registry name, assignable from a string
- * ("streamline") or a legacy enum (L2Pf::Streamline). Keeps every
- * pre-registry call site (`cfg.l2 = L2Pf::Triangel`) compiling while the
- * string is the single source of truth.
- */
-class PfSel
-{
-  public:
-    PfSel(std::string name) : name_(std::move(name)) {}
-    PfSel(const char* name) : name_(name) {}
-    PfSel(L1Pf p) : name_(l1PfName(p)) {}
-    PfSel(L2Pf p) : name_(l2PfName(p)) {}
-
-    const std::string& str() const { return name_; }
-
-    friend bool
-    operator==(const PfSel& a, const PfSel& b)
-    {
-        return a.name_ == b.name_;
-    }
-    friend bool
-    operator!=(const PfSel& a, const PfSel& b)
-    {
-        return !(a == b);
-    }
-
-  private:
-    std::string name_;
-};
-
 /** Everything needed to reproduce one run. */
 struct RunConfig
 {
     unsigned cores = 1;
-    PfSel l1 = L1Pf::Stride;     //!< registry name; "stride" by default
-    PfSel l2 = L2Pf::None;       //!< registry name; "none" by default
+    std::string l1 = "stride";   //!< L1D prefetcher registry name
+    std::string l2 = "none";     //!< L2 prefetcher registry name
     StreamlineConfig streamline; //!< used by the "streamline" factory
     TriangelConfig triangel;     //!< used by the "triangel*" factories
     TriageConfig triage;         //!< used by the "triage*" factories
@@ -99,9 +42,6 @@ struct RunConfig
      *  Part of the config digest: fast-wake snapshots and golden files
      *  are distinct from default-mode ones (DESIGN.md §14). */
     bool fastWake = false;
-
-    const std::string& l1Name() const { return l1.str(); }
-    const std::string& l2Name() const { return l2.str(); }
 
     /**
      * Reject unrunnable configurations; throws SimError. Unknown

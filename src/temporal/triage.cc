@@ -55,7 +55,7 @@ TriagePrefetcher::onAccess(const AccessInfo& info)
         dataSampler_->access(set, block);
         ++accessesSinceResize_;
         if (accessesSinceResize_ >= cfg_.resizeInterval)
-            maybeResize();
+            maybeResize(info.cycle);
     }
 
     train(block, info.pc, info.cycle);
@@ -121,7 +121,7 @@ TriagePrefetcher::issueChain(Addr block, PC pc, Cycle now)
 }
 
 void
-TriagePrefetcher::maybeResize()
+TriagePrefetcher::maybeResize(Cycle now)
 {
     accessesSinceResize_ = 0;
 
@@ -152,11 +152,11 @@ TriagePrefetcher::maybeResize()
     currentWays_ = best_ways;
     const std::uint64_t moved = store_->resize(best_ways);
     stats_.counter("shuffle_blocks") += moved;
-    llc_->metadataBulkTraffic(moved, 0);
+    llc_->metadataBulkTraffic(moved, now);
     if (growing) {
         // Newly reserved ways must evict resident data.
         for (std::uint32_t s = 0; s < metadataSets(); ++s)
-            llc_->reclaimReservedWays(physicalSet(s), 0);
+            llc_->reclaimReservedWays(physicalSet(s), now);
     }
 }
 

@@ -152,7 +152,7 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
 
     void train(Addr block, PC pc, Cycle now);
     void issueChain(Addr block, PC pc, Cycle now);
-    void maybeResize();
+    void maybeResize(Cycle now);
 
     TriageConfig cfg_;
     // Sized at attach() time from the LLC geometry.

@@ -86,11 +86,11 @@ gapBfs(double scale, std::uint64_t seed)
 {
     // Repeated BFS from the same source: each repetition visits vertices in
     // (nearly) the same order, so the parent-array miss stream repeats.
+    const std::size_t budget = recordBudget(scale) * 3 / 2;
+    TraceRecorder rec(budget + 64);
     Graph g = buildGraph(scale, seed);
     const auto a = layout();
-    const std::size_t budget = recordBudget(scale) * 3 / 2;
 
-    TraceRecorder rec(budget + 64);
     while (rec.size() < budget) {
         std::vector<std::int32_t> parent(g.numNodes, -1);
         std::queue<std::uint32_t> frontier;
@@ -117,11 +117,11 @@ gapPr(double scale, std::uint64_t seed)
 {
     // PageRank power iterations: per iteration, every vertex gathers its
     // neighbours' scores -- the canonical repeating irregular gather.
+    const std::size_t budget = recordBudget(scale) * 3 / 2;
+    TraceRecorder rec(budget + 64);
     Graph g = buildGraph(scale, seed + 2);
     const auto a = layout();
-    const std::size_t budget = recordBudget(scale) * 3 / 2;
 
-    TraceRecorder rec(budget + 64);
     while (rec.size() < budget) {
         for (std::uint32_t v = 0; v < g.numNodes && rec.size() < budget;
              ++v) {
@@ -139,15 +139,15 @@ gapCc(double scale, std::uint64_t seed)
 {
     // Label propagation over the edge list until stable (capped): reads of
     // comp[u]/comp[v] repeat each sweep.
+    const std::size_t budget = recordBudget(scale) * 3 / 2;
+    TraceRecorder rec(budget + 64);
     Graph g = buildGraph(scale, seed + 3);
     const auto a = layout();
-    const std::size_t budget = recordBudget(scale) * 3 / 2;
 
     std::vector<std::uint32_t> comp(g.numNodes);
     for (std::uint32_t v = 0; v < g.numNodes; ++v)
         comp[v] = v;
 
-    TraceRecorder rec(budget + 64);
     while (rec.size() < budget) {
         for (std::uint32_t v = 0; v < g.numNodes && rec.size() < budget;
              ++v) {
@@ -168,14 +168,14 @@ Trace
 gapSssp(double scale, std::uint64_t seed)
 {
     // Bellman-Ford-style relaxation sweeps over the edge structure.
+    const std::size_t budget = recordBudget(scale) * 3 / 2;
+    TraceRecorder rec(budget + 64);
     Graph g = buildGraph(scale, seed + 4);
     const auto a = layout();
-    const std::size_t budget = recordBudget(scale) * 3 / 2;
 
     std::vector<std::uint64_t> dist(g.numNodes, ~0ULL);
     dist[0] = 0;
 
-    TraceRecorder rec(budget + 64);
     while (rec.size() < budget) {
         for (std::uint32_t v = 0; v < g.numNodes && rec.size() < budget;
              ++v) {
@@ -200,12 +200,12 @@ gapBc(double scale, std::uint64_t seed)
 {
     // Betweenness centrality: forward BFS then reverse accumulation, both
     // traversing the same vertex order -- back-to-back repeated streams.
+    const std::size_t budget = recordBudget(scale) * 3 / 2;
+    TraceRecorder rec(budget + 64);
     Graph g = buildGraph(scale, seed + 5);
     const auto a = layout();
-    const std::size_t budget = recordBudget(scale) * 3 / 2;
     Rng rng(seed + 50);
 
-    TraceRecorder rec(budget + 64);
     while (rec.size() < budget) {
         const auto src = static_cast<std::uint32_t>(rng.below(8));
         std::vector<std::int32_t> depth(g.numNodes, -1);
@@ -246,11 +246,11 @@ gapTc(double scale, std::uint64_t seed)
     // re-scanned constantly, producing heavy reuse of long streams.
     const auto tc_nodes = std::max<std::uint32_t>(
         static_cast<std::uint32_t>(12'000 * scale), 2048);
+    const std::size_t budget = recordBudget(scale) * 3 / 2;
+    TraceRecorder rec(budget + 64);
     Graph g = makeGraph(GraphKind::PowerLaw, tc_nodes, 20, seed + 6);
     const auto a = layout();
-    const std::size_t budget = recordBudget(scale) * 3 / 2;
 
-    TraceRecorder rec(budget + 64);
     while (rec.size() < budget) {
         for (std::uint32_t v = 0; v < g.numNodes && rec.size() < budget;
              ++v) {

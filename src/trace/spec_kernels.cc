@@ -79,6 +79,7 @@ mcfLike(const char* name, Suite suite, double scale, std::uint64_t seed,
     Rng rng(seed);
     const std::size_t budget =
         static_cast<std::size_t>(recordBudget(scale) * budget_mult);
+    TraceRecorder rec(budget + 64);
     nodes = std::max<std::uint32_t>(
         static_cast<std::uint32_t>(nodes * scale), 4096);
 
@@ -97,7 +98,6 @@ mcfLike(const char* name, Suite suite, double scale, std::uint64_t seed,
     const Addr aux = base(1);       // per-node cost structs (64B)
     const Addr scan_region = base(2);
 
-    TraceRecorder rec(budget + 64);
     std::vector<std::uint32_t> cursor(lists);
     for (unsigned l = 0; l < lists; ++l)
         cursor[l] = perm[l * per];
@@ -219,6 +219,7 @@ specOmnetpp(double scale, std::uint64_t seed)
 {
     Rng rng(seed);
     const std::size_t budget = recordBudget(scale);
+    TraceRecorder rec(budget + 64);
     const auto heap_cap = std::max<std::uint32_t>(
         static_cast<std::uint32_t>(40'000 * scale), 4096);
     const auto modules = std::max<std::uint32_t>(
@@ -233,7 +234,6 @@ specOmnetpp(double scale, std::uint64_t seed)
     heap.reserve(heap_cap);
     std::uint64_t now = 0;
 
-    TraceRecorder rec(budget + 64);
     auto touch_slot = [&](std::size_t idx, bool write) {
         const Addr a = heap_base + idx * 16;
         if (write)
@@ -327,6 +327,7 @@ xalancLike(const char* name, Suite suite, double scale, std::uint64_t seed,
 {
     Rng rng(seed);
     const std::size_t budget = recordBudget(scale);
+    TraceRecorder rec(budget + 64);
     buckets = std::max<std::uint32_t>(
         static_cast<std::uint32_t>(buckets * scale), 4096);
     const std::uint32_t node_count = buckets * 4;
@@ -343,7 +344,6 @@ xalancLike(const char* name, Suite suite, double scale, std::uint64_t seed,
     for (std::uint32_t n = 0; n < node_count; ++n)
         chain[n % buckets].push_back(node_perm[n]);
 
-    TraceRecorder rec(budget + 64);
     while (rec.size() < budget) {
         // Keys are Zipf-hot: hot chains are re-walked constantly, giving
         // repeated temporal sequences.
@@ -384,6 +384,7 @@ specSoplex(double scale, std::uint64_t seed)
     // column-index gathers repeat every iteration -- classic temporal prey.
     Rng rng(seed);
     const std::size_t budget = recordBudget(scale);
+    TraceRecorder rec(budget + 64);
     const auto rows = std::max<std::uint32_t>(
         static_cast<std::uint32_t>(6'000 * scale), 1024);
     const std::uint32_t nnz_per_row = 9;
@@ -400,7 +401,6 @@ specSoplex(double scale, std::uint64_t seed)
     for (auto& c : colidx)
         c = static_cast<std::uint32_t>(rng.below(cols));
 
-    TraceRecorder rec(budget + 64);
     while (rec.size() < budget) {
         for (std::uint32_t r = 0; r < rows && rec.size() < budget; ++r) {
             for (std::uint32_t k = 0; k < nnz_per_row; ++k) {
@@ -462,6 +462,7 @@ specGcc(double scale, std::uint64_t seed)
     // symbol-table probes; moderately irregular.
     Rng rng(seed);
     const std::size_t budget = recordBudget(scale);
+    TraceRecorder rec(budget + 64);
     const auto nodes = std::max<std::uint32_t>(
         static_cast<std::uint32_t>(50'000 * scale), 8192);
 
@@ -476,7 +477,6 @@ specGcc(double scale, std::uint64_t seed)
                       : static_cast<std::uint32_t>(rng.below(nodes));
     }
 
-    TraceRecorder rec(budget + 64);
     std::uint32_t cur = 0;
     while (rec.size() < budget) {
         rec.loadDep(700, ir_base + Addr{cur} * 96, 3);

@@ -51,90 +51,6 @@ enum class Suite : std::uint8_t { Spec06, Spec17, Gap };
 const char* suiteName(Suite s);
 
 /**
- * The record storage behind a Trace: either an owned vector (generated
- * traces) or a borrowed read-only view into an mmap-ed trace-cache file
- * (see trace/trace_cache.hh), kept alive by a type-erased keepalive.
- * Exposes just enough of the vector interface for the simulator's
- * consumers (size/index/range-for); records are immutable either way.
- */
-class RecordSeq
-{
-  public:
-    RecordSeq() = default;
-
-    /** Take ownership of generated records. */
-    RecordSeq(std::vector<TraceRecord> v) { assign(std::move(v)); }
-
-    /** Borrow @p n records at @p data; @p keepalive pins the backing
-     *  storage (the mmap region) for this sequence's lifetime. */
-    RecordSeq(const TraceRecord* data, std::size_t n,
-              std::shared_ptr<const void> keepalive)
-        : data_(data), size_(n), keepalive_(std::move(keepalive))
-    {
-    }
-
-    // Copies of an owning sequence rebind data_ to the copied vector;
-    // copies of a view share the keepalive and alias the same storage.
-    RecordSeq(const RecordSeq& o) { *this = o; }
-    RecordSeq(RecordSeq&& o) noexcept { *this = std::move(o); }
-
-    RecordSeq&
-    operator=(const RecordSeq& o)
-    {
-        if (this == &o)
-            return *this;
-        own_ = o.own_;
-        keepalive_ = o.keepalive_;
-        size_ = o.size_;
-        data_ = own_.empty() ? o.data_ : own_.data();
-        return *this;
-    }
-
-    RecordSeq&
-    operator=(RecordSeq&& o) noexcept
-    {
-        if (this == &o)
-            return *this;
-        own_ = std::move(o.own_);
-        keepalive_ = std::move(o.keepalive_);
-        size_ = o.size_;
-        data_ = own_.empty() ? o.data_ : own_.data();
-        o.data_ = nullptr;
-        o.size_ = 0;
-        return *this;
-    }
-
-    RecordSeq&
-    operator=(std::vector<TraceRecord> v)
-    {
-        assign(std::move(v));
-        return *this;
-    }
-
-    const TraceRecord* data() const { return data_; }
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    const TraceRecord& operator[](std::size_t i) const { return data_[i]; }
-    const TraceRecord* begin() const { return data_; }
-    const TraceRecord* end() const { return data_ + size_; }
-
-  private:
-    void
-    assign(std::vector<TraceRecord> v)
-    {
-        own_ = std::move(v);
-        keepalive_.reset();
-        data_ = own_.data();
-        size_ = own_.size();
-    }
-
-    std::vector<TraceRecord> own_;
-    const TraceRecord* data_ = nullptr;
-    std::size_t size_ = 0;
-    std::shared_ptr<const void> keepalive_;
-};
-
-/**
  * An in-memory trace plus the workload identity needed for reporting.
  * `warmupRecords` marks how many leading records are warmup-only (stats are
  * reset after they retire), mirroring the paper's warmup/evaluate split.
@@ -144,7 +60,7 @@ struct Trace
     std::string name;
     Suite suite = Suite::Spec06;
     std::size_t warmupRecords = 0;
-    RecordSeq records;
+    std::vector<TraceRecord> records;
 
     Trace() = default;
     // The cached count travels with the records it summarises (an atomic
@@ -213,8 +129,6 @@ struct Trace
 
     /** 0 = not yet computed (a non-empty trace never sums to 0). */
     mutable std::atomic<std::uint64_t> cachedInstructions_{0};
-
-    friend class TraceCacheAccess;
 };
 
 using TracePtr = std::shared_ptr<const Trace>;
@@ -222,6 +136,13 @@ using TracePtr = std::shared_ptr<const Trace>;
 /**
  * Recorder handed to workload kernels; kernels call load()/store() at each
  * memory-touching site and the recorder appends trace records.
+ *
+ * Kernels construct it, reserving their whole record budget, before any
+ * scratch of their own (graphs, permutations, heaps). The record buffer is
+ * the largest allocation by far, so a regenerated trace then lands in the
+ * block its predecessor freed. Reserved after scratch whose size varies
+ * with the seed, it can land past that block instead and keep a second
+ * buffer's worth of pages resident.
  */
 class TraceRecorder
 {

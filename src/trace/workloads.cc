@@ -5,11 +5,7 @@
 #include <mutex>
 #include <stdexcept>
 
-#include <cstdio>
-
-#include "common/error.hh"
 #include "trace/kernels.hh"
-#include "trace/trace_cache.hh"
 
 namespace sl
 {
@@ -110,34 +106,10 @@ getTrace(const std::string& name, double scale, std::uint64_t seed)
 
     for (const auto& w : workloadRegistry()) {
         if (w.name == name) {
-            // Persistent cache first: a hit maps the records straight
-            // from disk instead of re-executing the kernel. Any corrupt
-            // or stale file degrades to regeneration (and is then
-            // overwritten with a fresh copy below).
-            const std::string dir = traceCacheDir();
-            std::string path;
-            if (!dir.empty()) {
-                path = traceCachePath(dir, name, scale, seed);
-                try {
-                    if (TracePtr t =
-                            loadCachedTrace(path, name, scale, seed)) {
-                        std::lock_guard<std::mutex> lock(
-                            traceCacheMutex());
-                        return traceCache().emplace(key, t).first->second;
-                    }
-                } catch (const SimError& e) {
-                    std::fprintf(stderr,
-                                 "sl: trace cache: %s; regenerating\n",
-                                 e.detail().c_str());
-                }
-            }
-
             // Synthesis runs outside the lock: it is deterministic per
             // key, so two threads racing here build identical traces and
             // the loser's copy is simply dropped.
             auto t = std::make_shared<Trace>(w.make(scale, seed));
-            if (!path.empty())
-                storeCachedTrace(path, *t, scale, seed);
             std::lock_guard<std::mutex> lock(traceCacheMutex());
             return traceCache().emplace(key, t).first->second;
         }

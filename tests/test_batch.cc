@@ -121,17 +121,8 @@ TEST(Registry, RunConfigValidateRejectsUnknownNames)
     EXPECT_THROW(cfg.validate(), SimError);
 
     RunConfig ok;
-    ok.l2 = L2Pf::Triangel; // legacy enum shim still assigns
-    EXPECT_EQ(ok.l2Name(), "triangel");
+    ok.l2 = "triangel";
     EXPECT_NO_THROW(ok.validate());
-}
-
-TEST(Registry, EnumNamesAreBoundsChecked)
-{
-    EXPECT_STREQ(l2PfName(L2Pf::SppPpf), "spp_ppf");
-    EXPECT_STREQ(l1PfName(L1Pf::Berti), "berti");
-    EXPECT_THROW(l2PfName(static_cast<L2Pf>(99)), SimError);
-    EXPECT_THROW(l1PfName(static_cast<L1Pf>(99)), SimError);
 }
 
 // ---------- hardening validation (rides on RunConfig::validate) ----------

@@ -358,13 +358,13 @@ TEST(FaultInjection, TemporalPrefetchersSurviveFaultsGracefully)
     // only degrade coverage/IPC.
     clearTraceCache();
     for (const char* workload : {"gap_bfs", "spec06_mcf"}) {
-        for (L2Pf pf : {L2Pf::Streamline, L2Pf::Triangel, L2Pf::Triage}) {
+        for (const char* pf : {"streamline", "triangel", "triage"}) {
             RunConfig cfg;
             cfg.traceScale = kTinyScale;
             cfg.l2 = pf;
             cfg.faults = gracefulFaults();
             const RunResult r = runWorkload(cfg, workload);
-            SCOPED_TRACE(std::string(workload) + "/" + l2PfName(pf));
+            SCOPED_TRACE(std::string(workload) + "/" + pf);
             ASSERT_EQ(r.cores.size(), 1u);
             EXPECT_GT(r.cores[0].ipc, 0.0);
             EXPECT_GE(r.cores[0].coverage(), 0.0);
@@ -403,7 +403,7 @@ TEST(FaultInjection, FaultsDegradeButDoNotBreakStreamline)
     clearTraceCache();
     RunConfig clean;
     clean.traceScale = kTinyScale;
-    clean.l2 = L2Pf::Streamline;
+    clean.l2 = "streamline";
     const RunResult base = runWorkload(clean, "gap_bfs");
 
     RunConfig faulty = clean;
@@ -421,7 +421,7 @@ TEST(FaultInjection, FaultyRunsReplayDeterministically)
     clearTraceCache();
     RunConfig cfg;
     cfg.traceScale = kTinyScale;
-    cfg.l2 = L2Pf::Triangel;
+    cfg.l2 = "triangel";
     cfg.faults = gracefulFaults();
     const RunResult a = runWorkload(cfg, "spec06_mcf");
     clearTraceCache();
@@ -437,7 +437,7 @@ TEST(ReproBundle, FormatContainsEverythingNeededToReplay)
 {
     RunConfig cfg;
     cfg.seed = 77;
-    cfg.l2 = L2Pf::Streamline;
+    cfg.l2 = "streamline";
     cfg.faults.loseRequestRate = 1.0;
     const SimError err("progress_watchdog", 123456, "stuck",
                        "[progress_watchdog @123456] stuck");

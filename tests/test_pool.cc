@@ -372,7 +372,7 @@ goldenRun(const char* workload)
     clearTraceCache();
     RunConfig cfg;
     cfg.traceScale = 0.05;
-    cfg.l2 = L2Pf::Streamline;
+    cfg.l2 = "streamline";
     return runWorkload(cfg, workload);
 }
 

@@ -352,7 +352,7 @@ telemetryRunConfig()
 {
     RunConfig cfg;
     cfg.traceScale = 0.05;
-    cfg.l2 = L2Pf::Streamline;
+    cfg.l2 = "streamline";
     cfg.telemetry.enabled = true;
     cfg.telemetry.intervalCycles = 20'000;
     return cfg;
@@ -374,8 +374,9 @@ TEST(TelemetryRun, IntervalSeriesIsContiguousAndNonTrivial)
         const IntervalRecord& rec = t.intervals[i];
         EXPECT_EQ(rec.index, i);
         EXPECT_GT(rec.endCycle, rec.startCycle);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(rec.startCycle, t.intervals[i - 1].endCycle);
+        }
         retired += rec.delta.retired;
         dram_bytes += rec.delta.dramBytes;
         nonzero_ipc += rec.ipc() > 0;
@@ -453,11 +454,11 @@ digestStats(const std::map<std::string, std::uint64_t>& m)
 
 TEST(TelemetryDeterminism, EnablingTelemetryLeavesDigestsBitIdentical)
 {
-    const std::vector<std::pair<L2Pf, const char*>> grid = {
-        {L2Pf::Streamline, "spec06_mcf"},
-        {L2Pf::Streamline, "gap_bfs"},
-        {L2Pf::Triangel, "spec06_mcf"},
-        {L2Pf::Triangel, "gap_bfs"},
+    const std::vector<std::pair<const char*, const char*>> grid = {
+        {"streamline", "spec06_mcf"},
+        {"streamline", "gap_bfs"},
+        {"triangel", "spec06_mcf"},
+        {"triangel", "gap_bfs"},
     };
     for (const auto& [l2, workload] : grid) {
         RunConfig off;
@@ -471,8 +472,7 @@ TEST(TelemetryDeterminism, EnablingTelemetryLeavesDigestsBitIdentical)
         const RunResult a = runWorkload(off, workload);
         clearTraceCache();
         const RunResult b = runWorkload(on, workload);
-        const std::string where =
-            std::string(on.l2Name()) + "/" + workload;
+        const std::string where = on.l2 + "/" + workload;
 
         EXPECT_FALSE(a.telemetry) << where;
         ASSERT_TRUE(b.telemetry) << where;

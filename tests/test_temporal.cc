@@ -227,6 +227,65 @@ TEST_F(TemporalFixture, TriageIdealUnlimited)
     EXPECT_EQ(pf.reservedWays(0), 0u);
 }
 
+TEST_F(TemporalFixture, TriageResizeReclaimsAtTrainingCycle)
+{
+    // Growing the partition evicts the data in the newly reserved ways.
+    // Dirty victims must reach the level below at the cycle of the
+    // training access that triggered the resize: a multi-core LLC sits
+    // above the scheduled DRAM, which rejects a request from the past.
+    TriageConfig cfg;
+    cfg.resizeInterval = 12'000;
+    TriagePrefetcher pf(cfg);
+    pf.attach(l2.get(), llc.get(), &eq, 0, 1);
+    llc->setPartition(pf.partitionPolicy());
+
+    // An 8k-block irregular stream has no LLC-depth data reuse but
+    // plenty of metadata reuse on its second pass, so the first resize
+    // grows the partition from its initial half of maxWays.
+    constexpr unsigned kBlocks = 8'000;
+    constexpr Cycle kDrainLimit = 100'000'000;
+    AccessInfo info;
+    info.pc = 77;
+    auto train = [&](unsigned i, Cycle now) {
+        info.addr = (mix64(i % kBlocks) % 1'000'000) << kBlockShift;
+        info.cycle = now;
+        pf.onAccess(info);
+    };
+    unsigned i = 0;
+    for (; i + 1 < cfg.resizeInterval; ++i)
+        train(i, 10 * (i + 1));
+    drain(eq, kDrainLimit);
+    ASSERT_EQ(pf.stats().get("resizes"), 0u);
+
+    // Fill every unreserved LLC way with dirty data.
+    constexpr std::uint64_t kLlcBlocks = 256 * 1024 / kBlockBytes;
+    for (Addr b = 0; b < 2 * kLlcBlocks; ++b) {
+        auto* wb = new MemRequest;
+        wb->addr = (Addr{1} << 40) + (b << kBlockShift);
+        wb->kind = ReqKind::Writeback;
+        llc->access(wb, 0);
+    }
+    drain(eq, kDrainLimit);
+
+    constexpr Cycle kResizeAt = 10'000'000;
+    const std::size_t before = mem.requests.size();
+    train(i, kResizeAt);
+    drain(eq, kDrainLimit);
+    ASSERT_EQ(pf.stats().get("resizes"), 1u);
+    ASSERT_GT(pf.reservedWays(1), cfg.maxWays / 2);
+    ASSERT_GT(llc->stats().get("partition_reclaims"), 0u);
+
+    unsigned writebacks = 0, early = 0;
+    for (std::size_t r = before; r < mem.requests.size(); ++r) {
+        if (mem.requests[r].kind != ReqKind::Writeback)
+            continue;
+        ++writebacks;
+        early += mem.arrivals[r] < kResizeAt;
+    }
+    EXPECT_GT(writebacks, 0u);
+    EXPECT_EQ(early, 0u) << "writebacks arrived before the resize cycle";
+}
+
 TEST_F(TemporalFixture, TriangelLearnsAndUsesMrb)
 {
     TriangelPrefetcher pf;

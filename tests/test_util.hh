@@ -49,7 +49,8 @@ repeatSequence(const std::vector<Addr>& blocks, unsigned repetitions,
 
 /**
  * Terminal memory level with a fixed latency; records every request it
- * receives and always responds (reads) after `latency` cycles.
+ * receives, and the cycle it arrived at, and always responds (reads)
+ * after `latency` cycles.
  */
 class ScriptedMemory : public MemLevel
 {
@@ -63,6 +64,7 @@ class ScriptedMemory : public MemLevel
     access(MemRequest* req, Cycle now) override
     {
         requests.push_back(*req);
+        arrivals.push_back(now);
         if (req->client) {
             MemRequest* r = req;
             eq_.schedule(now + latency_, [r](Cycle done) {
@@ -75,6 +77,7 @@ class ScriptedMemory : public MemLevel
     }
 
     std::vector<MemRequest> requests;
+    std::vector<Cycle> arrivals; //!< arrival cycle of requests[i]
 
   private:
     EventQueue& eq_;
