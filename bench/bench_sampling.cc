@@ -1,6 +1,6 @@
 /**
  * @file
- * Sampled-vs-full fidelity and speedup (DESIGN.md §15).
+ * Sampled-vs-full fidelity and speedup (DESIGN.md §14).
  *
  * Runs {streamline, triage, triangel} x {spec06_mcf, gap_bfs} twice:
  * once as a full detailed simulation, once through the sampled runner

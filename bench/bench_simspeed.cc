@@ -17,18 +17,9 @@
  * lucky rep can't mask a regression, a single unlucky one can't fail
  * the build.
  *
- * A second matrix times the same temporal-prefetcher cells under
- * fast-wake scheduling (SchedMode::FastWake, DESIGN.md §14) back-to-back
- * against default mode and reports the speedup ratio; check.sh's
- * `fastwake` stage gates that ratio on the gap_bfs cells.
- *
  * Knobs: SL_BENCH_SCALE (trace scale, default 0.25), SL_SIMSPEED_REPS
- * (repetitions per cell; default 3), SL_SIMSPEED_FASTWAKE_ONLY=1 (skip
- * the main/multicore/telemetry sections and run just the fast-wake
- * matrix -- check.sh's `fastwake` stage uses this to gate the speedup
- * ratio at the acceptance scale without paying for the full matrix).
- * Jobs always run serially on one thread: this bench measures
- * single-job latency, not batch throughput.
+ * (repetitions per cell; default 3). Jobs always run serially on one
+ * thread: this bench measures single-job latency, not batch throughput.
  */
 
 #include <algorithm>
@@ -76,8 +67,7 @@ reps()
 Cell
 timeCell(const std::string& config, const std::string& l2,
          const std::string& workload, double scale, unsigned repetitions,
-         const TelemetryConfig* telemetry = nullptr, unsigned cores = 1,
-         SchedMode sched = SchedMode::Default)
+         const TelemetryConfig* telemetry = nullptr, unsigned cores = 1)
 {
     PrefetcherRegistry& reg = prefetcherRegistry();
     const PrefetcherTuning tuning; // registry defaults for every family
@@ -93,7 +83,6 @@ timeCell(const std::string& config, const std::string& l2,
             traces.push_back(getTrace(workload, scale, /*seed=*/1));
         SystemConfig sc;
         sc.cores = cores;
-        sc.sched = sched;
         sc.l1dPrefetcher =
             reg.make("stride", PrefetcherRegistry::L1, tuning);
         sc.l2Prefetcher = reg.make(l2, PrefetcherRegistry::L2, tuning);
@@ -200,13 +189,8 @@ main()
                 "wall_s", "kcycles/s", "kc/s_median", "MIPS",
                 "meta_ops/s");
 
-    const char* fw_only_env = std::getenv("SL_SIMSPEED_FASTWAKE_ONLY");
-    const bool fastwake_only = fw_only_env && fw_only_env[0] == '1';
-
     Cell telemetry_off; // streamline/spec06_mcf, reused by the probe below
     for (const auto& [name, l2] : configs) {
-        if (fastwake_only)
-            break;
         std::uint64_t cfg_cycles = 0;
         std::uint64_t cfg_retired = 0;
         std::uint64_t cfg_meta = 0;
@@ -261,50 +245,6 @@ main()
             sl::jsonNumber(mops(cfg_meta, cfg_wall)) + "}");
     }
 
-    // Fast-wake matrix: the temporal-prefetcher cells again with
-    // SchedMode::FastWake, interleaved back-to-back with a fresh
-    // default-mode measurement of the same cell (same binary, same
-    // process) so the ratio is insulated from machine drift. gap_bfs is
-    // the retry-storm workload the mode exists for; spec06_mcf shows the
-    // no-storm floor. check.sh's `fastwake` stage gates the gap_bfs
-    // ratios (SL_FASTWAKE_FLOOR, default 1.8).
-    std::printf("\n-- fast-wake cells (event-driven wakeups, "
-                "DESIGN.md §14) --\n");
-    std::printf("%-12s %-15s %12s %14s %8s %14s\n", "config", "workload",
-                "kcycles/s", "fastwake_kc/s", "ratio", "ratio_median");
-    for (const auto* l2 : {"streamline", "triage", "triangel"}) {
-        for (const auto* w : {"spec06_mcf", "gap_bfs"}) {
-            const Cell dflt =
-                timeCell(l2, l2, w, scale, repetitions);
-            const Cell fast =
-                timeCell(std::string(l2) + "+fastwake", l2, w, scale,
-                         repetitions, nullptr, /*cores=*/1,
-                         SchedMode::FastWake);
-            const double ratio =
-                kcps(dflt) > 0 ? kcps(fast) / kcps(dflt) : 0;
-            const double ratio_median =
-                kcpsMedian(dflt) > 0 ? kcpsMedian(fast) / kcpsMedian(dflt)
-                                     : 0;
-            std::printf("%-12s %-15s %12.0f %14.0f %7.2fx %13.2fx\n", l2,
-                        w, kcps(dflt), kcps(fast), ratio, ratio_median);
-            JsonReport::instance().note(
-                "{\"kind\":\"simspeed_fastwake\",\"config\":\"" +
-                std::string(l2) + "\",\"workload\":\"" + w + "\"" +
-                cellJsonFields(fast) +
-                ",\"fastwake_kcycles_per_sec\":" +
-                sl::jsonNumber(kcps(fast)) +
-                ",\"fastwake_kcycles_per_sec_median\":" +
-                sl::jsonNumber(kcpsMedian(fast)) +
-                ",\"default_kcycles_per_sec\":" +
-                sl::jsonNumber(kcps(dflt)) +
-                ",\"default_kcycles_per_sec_median\":" +
-                sl::jsonNumber(kcpsMedian(dflt)) +
-                ",\"speedup_ratio\":" + sl::jsonNumber(ratio) +
-                ",\"speedup_ratio_median\":" +
-                sl::jsonNumber(ratio_median) + "}");
-        }
-    }
-
     // Multi-core cost probe: the shared memory system (DRAM scheduler,
     // LLC arbiter, pressure probe) only runs when cores > 1, so its
     // simulation cost is invisible to the single-core matrix. 2-core
@@ -312,9 +252,6 @@ main()
     // each L2 prefetcher and with none (the metadata-heavy prefetchers
     // stress the LLC arbiter very differently from the stream-based one,
     // so all three get their own cell).
-    if (fastwake_only)
-        return 0;
-
     std::printf("\n-- 2-core cells (spec06_mcf x2, shared LLC/DRAM) --\n");
     for (const auto* l2 : {"streamline", "triage", "triangel", "none"}) {
         const Cell c =

@@ -9,7 +9,6 @@
 #   scripts/check.sh telemetry  # instrumented run + export validation
 #   scripts/check.sh resilience # hang-timeout kill + manifest resume
 #   scripts/check.sh multicore  # 2-core ASan smoke
-#   scripts/check.sh fastwake   # fast-wake mode: ASan smoke + speedup gate
 #   scripts/check.sh sampling   # sampled runs: ASan smoke + fidelity/speed
 #
 # The modes after `sanitize` add what ctest cannot cover: runs of the
@@ -87,7 +86,6 @@ configs = {n["config"]: n for n in doc["notes"]
 cells = [n for n in doc["notes"] if n["kind"] == "simspeed_cell"]
 mc = [n for n in doc["notes"] if n["kind"] == "simspeed_multicore"]
 tele = [n for n in doc["notes"] if n["kind"] == "simspeed_telemetry"]
-fw = [n for n in doc["notes"] if n["kind"] == "simspeed_fastwake"]
 assert configs, "no simspeed_config notes in bench output"
 assert cells, "no simspeed_cell notes in bench output"
 assert tele, "no simspeed_telemetry note in bench output"
@@ -121,18 +119,6 @@ snap["current"] = {
         "off_kcycles_per_sec": tele[0]["off_kcycles_per_sec"],
         "on_kcycles_per_sec": tele[0]["on_kcycles_per_sec"],
         "enabled_overhead_pct": tele[0]["enabled_overhead_pct"],
-    },
-    # Fast-wake cells (DESIGN.md §14): kcycles/s under SchedMode::FastWake
-    # plus the back-to-back speedup ratio over default mode. The fastwake
-    # stage gates the gap_bfs ratios at the acceptance scale; here they
-    # are recorded for the trajectory at this stage's (smaller) scale.
-    "fastwake": {
-        f"{n['config']}/{n['workload']}": {
-            "kcycles_per_sec": n["fastwake_kcycles_per_sec"],
-            "kcycles_per_sec_median": n["fastwake_kcycles_per_sec_median"],
-            "speedup_ratio": n["speedup_ratio"],
-            "speedup_ratio_median": n["speedup_ratio_median"],
-        } for n in fw
     },
 }
 FLOOR = float(os.environ.get("SL_SIMSPEED_FLOOR", "0.75"))
@@ -273,57 +259,7 @@ print(f"telemetry ok: {len(rows)} intervals, {len(trace)} trace events")
 EOF
 }
 
-# Fast-wake stage (DESIGN.md §14): the opt-in scheduling mode that
-# virtualizes retry polls into wakeup lists and cache-to-cache event
-# hops into direct calls. Its equivalence harness and golden digests
-# run in ctest. Two gates here: (a) an ASan+UBSan fast-wake run of the
-# retry-storm workload, and (b) the measured speedup: bench_simspeed's
-# fast-wake matrix at SL_FASTWAKE_SCALE (default 0.25, the acceptance
-# scale) must show every gap_bfs cell's median ratio above
-# SL_FASTWAKE_FLOOR (default 1.8; 0 disables, e.g. under emulation or
-# on heavily contended hardware).
-fastwake() {
-    local dir="$1" sandir="$2"
-    echo "== fastwake: ASan smoke + speed gate =="
-    cmake --build "${sandir}" --target sl_run -j
-    "${sandir}/src/sim/sl_run" --l2 streamline --scale 0.05 --fast-wake \
-        gap_bfs > "${sandir}/fastwake_smoke.out"
-    grep -q 'gap_bfs ipc=' "${sandir}/fastwake_smoke.out"
-    echo "fast-wake ASan gap_bfs smoke green"
-
-    cmake --build "${dir}" --target bench_simspeed -j
-    local out="${dir}/bench_fastwake.out"
-    SL_BENCH_SCALE="${SL_FASTWAKE_SCALE:-0.25}" SL_JOBS=1 \
-        SL_SIMSPEED_FASTWAKE_ONLY=1 \
-        "${dir}/bench/bench_simspeed" > "${out}"
-    SL_FASTWAKE_FLOOR="${SL_FASTWAKE_FLOOR:-1.8}" \
-        python3 - "${out}" <<'EOF'
-import json, os, sys
-text = open(sys.argv[1]).read()
-body = text.split("==JSON==")[1].split("==END-JSON==")[0]
-fw = [n for n in json.loads(body)["notes"]
-      if n["kind"] == "simspeed_fastwake"]
-assert fw, "no simspeed_fastwake notes in bench output"
-FLOOR = float(os.environ.get("SL_FASTWAKE_FLOOR", "1.8"))
-failures = []
-for n in fw:
-    tag = f"{n['config']}/{n['workload']}"
-    print(f"  {tag}: {n['speedup_ratio_median']:.2f}x median "
-          f"({n['speedup_ratio']:.2f}x best-of)")
-    if n["workload"] == "gap_bfs" and FLOOR > 0 \
-            and n["speedup_ratio_median"] < FLOOR:
-        failures.append(f"{tag}: {n['speedup_ratio_median']:.2f}x median "
-                        f"< {FLOOR:.2f}x floor")
-if failures:
-    print("FAIL: fast-wake speedup below SL_FASTWAKE_FLOOR:")
-    for f in failures:
-        print("  " + f)
-    sys.exit(1)
-print("fast-wake speed gate green")
-EOF
-}
-
-# Sampling stage (DESIGN.md §15): the sampled + checkpointed runner.
+# Sampling stage (DESIGN.md §14): the sampled + checkpointed runner.
 # Its unit, determinism and resume tests run in ctest. Two gates here:
 # (a) an ASan+UBSan sampled run end-to-end (the functional-warmup and
 # restore paths shake out memory errors at tiny scale), and (b)
@@ -333,7 +269,7 @@ EOF
 # SL_SAMPLING_ERR (default 0.03 -- IPC is deterministic, so this gate
 # is noise-free) while the aggregate warm-checkpoint speedup must stay
 # above SL_SAMPLING_FLOOR (default 2.5x; wall clock IS noisy on shared
-# hardware, hence the margin under the measured ~3.4x; 0 disables,
+# hardware, hence the margin under the measured ~2.8x; 0 disables,
 # e.g. under emulation).
 sampling() {
     local dir="$1" sandir="$2"
@@ -417,11 +353,6 @@ case "${MODE}" in
   telemetry) cmake -B build -S .; telemetry build ;;
   resilience) cmake -B build -S .; resilience build ;;
   multicore) cmake -B build-asan -S . -DSL_SANITIZE=ON; multicore build-asan ;;
-  fastwake)
-    cmake -B build -S .
-    cmake -B build-asan -S . -DSL_SANITIZE=ON
-    fastwake build build-asan
-    ;;
   sampling)
     cmake -B build -S .
     cmake -B build-asan -S . -DSL_SANITIZE=ON
@@ -434,11 +365,10 @@ case "${MODE}" in
     resilience build
     run_mode asan+ubsan build-asan -DSL_SANITIZE=ON
     multicore build-asan
-    fastwake build build-asan
     sampling build build-asan
     simspeed build
     ;;
-  *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|fastwake|sampling|all]" >&2
+  *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|sampling|all]" >&2
      exit 2 ;;
 esac
 

@@ -116,9 +116,8 @@ Cache::Cache(const CacheParams& params, EventQueue& eq, MemLevel* next,
         perCorePorts_ = std::max(1u, params_.ports / params_.arbCores);
         mshrByCore_.resize(params_.arbCores, 0);
         mshrQuota_ = params_.mshrs / params_.arbCores;
-    }
-    if (params_.sched == SchedMode::FastWake && params_.arbCores > 0)
         quotaWaiters_.resize(params_.arbCores);
+    }
     nextCache_ = dynamic_cast<Cache*>(next_);
 }
 
@@ -218,30 +217,10 @@ Cache::access(MemRequest* req, Cycle now)
 void
 Cache::retryNow(MemRequest* r, Cycle now)
 {
-    if (params_.sched == SchedMode::FastWake) {
-        // No polls exist in fast-wake mode: every Retry is a wake probe.
-        SL_CHECK_AT(wakeProbes_ > 0, params_.name.c_str(), now,
-                    "wake probe executed with none in flight");
-        --wakeProbes_;
-    }
-    const Cycle start = reservePortFor(r->coreId, now);
-    if (r->parkGen == stateGen_) {
-        // Nothing that decides the structural-stall branch has changed
-        // since this request parked, so re-presenting it would walk the
-        // same miss path to the same stall. Replay the stall's observable
-        // side effects (port-lane reservation above, retry counters, the
-        // 4-cycle repark) without the tag probe and MSHR walk -- under a
-        // retry storm this is the dominant event by an order of
-        // magnitude.
-        ++ctr_.mshrRetries;
-        if (r->parkQuotaStall)
-            ++quotaStalls_;
-        eq_.schedule(start + 4,
-                     EventCallback::make(EventKind::Retry,
-                                         reqDesc(this, r)));
-        return;
-    }
-    handleAt(r, start);
+    SL_CHECK_AT(wakeProbes_ > 0, params_.name.c_str(), now,
+                "wake probe executed with none in flight");
+    --wakeProbes_;
+    handleAt(r, reservePortFor(r->coreId, now));
 }
 
 void
@@ -280,8 +259,8 @@ Cache::handleAt(MemRequest* req, Cycle start)
 
     if (b) {
         // ----- hit -----
-        if (params_.sched == SchedMode::FastWake && req->retried)
-            fastWakePassOn(arbIndex(req->coreId), start);
+        if (req->retried)
+            passWakeOn(arbIndex(req->coreId), start);
         lru_[static_cast<std::size_t>(b - blocks_.data())] = ++lruTick_;
         if (demand) {
             bool prefetch_hit = false;
@@ -345,8 +324,8 @@ Cache::handleAt(MemRequest* req, Cycle start)
 
     if (Mshr* m = mshrs_.find(req->addr)) {
         // Merge into the outstanding miss.
-        if (params_.sched == SchedMode::FastWake && req->retried)
-            fastWakePassOn(arbIndex(req->coreId), start);
+        if (req->retried)
+            passWakeOn(arbIndex(req->coreId), start);
         if (demand) {
             if (m->prefetchOnly && !m->demandMerged) {
                 m->demandMerged = true;
@@ -369,9 +348,11 @@ Cache::handleAt(MemRequest* req, Cycle start)
         params_.arbCores > 0 &&
         mshrByCore_[arbIndex(req->coreId)] >= mshrQuota_;
     if (mshrs_.full() || quota_blocked) {
-        // Structural stall: retry a few cycles later. Under arbitration
-        // a core that exhausted its MSHR reservation stalls alone while
-        // its siblings keep allocating from their own quotas.
+        // Structural stall: park in FIFO order on the blocking resource's
+        // wakeup list; requestDone wakes it the cycle the resource frees.
+        // Under arbitration a core that exhausted its MSHR reservation
+        // stalls alone while its siblings keep allocating from their own
+        // quotas.
         ++ctr_.mshrRetries;
         const bool quota_stall = quota_blocked && !mshrs_.full();
         const bool was_quota_parked = req->retried && req->parkQuotaStall;
@@ -379,39 +360,26 @@ Cache::handleAt(MemRequest* req, Cycle start)
             ++quotaStalls_;
         req->retried = true;
         req->parkQuotaStall = quota_stall;
-        if (params_.sched == SchedMode::FastWake) {
-            // Park on the blocking resource's wakeup list instead of
-            // scheduling a poll: requestDone pops the list when the
-            // resource frees. parkGen stays 0 (pool-fresh), so a woken
-            // request always re-probes through handleAt.
-            if (quota_stall) {
-                quotaWaiters_[arbIndex(req->coreId)].push_back(req);
-            } else {
-                mshrFreeWaiters_.push_back(req);
-                if (was_quota_parked) {
-                    // This request was woken for a freed quota unit but
-                    // the table filled up first: its blocker changed
-                    // identity. The quota unit is still free, so migrate
-                    // the wake down the lane -- siblings follow the same
-                    // path until the lane drains or quota re-fills,
-                    // leaving no waiter parked against a free resource.
-                    const unsigned lane = arbIndex(req->coreId);
-                    if (params_.arbCores > 0 &&
-                        !quotaWaiters_[lane].empty() &&
-                        mshrByCore_[lane] < mshrQuota_)
-                        wakeOne(quotaWaiters_[lane], start);
-                }
+        if (quota_stall) {
+            quotaWaiters_[arbIndex(req->coreId)].push_back(req);
+        } else {
+            mshrFreeWaiters_.push_back(req);
+            if (was_quota_parked) {
+                // This request was woken for a freed quota unit but the
+                // table filled up first: its blocker changed identity.
+                // The quota unit is still free, so migrate the wake down
+                // the lane -- siblings follow the same path until the
+                // lane drains or quota re-fills, leaving no waiter parked
+                // against a free resource.
+                const unsigned lane = arbIndex(req->coreId);
+                if (params_.arbCores > 0 && !quotaWaiters_[lane].empty() &&
+                    mshrByCore_[lane] < mshrQuota_)
+                    wakeOne(quotaWaiters_[lane], start);
             }
-            return;
         }
-        req->parkGen = stateGen_;
-        eq_.schedule(start + 4,
-                     EventCallback::make(EventKind::Retry,
-                                         reqDesc(this, req)));
         return;
     }
 
-    ++stateGen_;
     Mshr& m = mshrs_.insert(req->addr);
     m.prefetchOnly = !demand;
     m.prefetchOriginHere = !demand && req->origin == this;
@@ -450,25 +418,10 @@ Cache::handleAt(MemRequest* req, Cycle start)
         return;
     }
     ++outstandingDownstream_;
+    // Forward downstream as an event at the arrival cycle, so the next
+    // level books its port, probes its tags and allocates its MSHR in
+    // simulated-time order (DESIGN.md §13.1).
     const Cycle fwd_at = start + params_.latency;
-    if (params_.sched == SchedMode::FastWake && nextCache_) {
-        // Fast-wake: hand the miss to the next cache level directly, the
-        // arrival cycle carried in the timestamp instead of in an event's
-        // firing time. The next level's port reservation takes max(now,
-        // lane time), so a future arrival cycle propagates exactly as a
-        // Forward event firing then would -- what changes is wall order:
-        // the downstream level (and, if it hits, this cache's fill path,
-        // which re-enters via an inline respond) observes the request
-        // before intervening same-window events. That reordering is the
-        // mode's documented timing tolerance (DESIGN.md §14); structural
-        // accounting stays exact because both sides of the hand-off
-        // update in the same call chain. This is the last statement of
-        // the miss path, so a synchronous round trip (downstream hit ->
-        // inline respond -> this->requestDone erasing the MSHR just
-        // inserted) unwinds onto a frame that touches nothing afterward.
-        nextCache_->access(down, fwd_at);
-        return;
-    }
     eq_.schedule(fwd_at, EventCallback::make(EventKind::Forward,
                                              reqDesc(this, down)));
 }
@@ -501,24 +454,21 @@ Cache::requestDone(const MemRequest& req, Cycle now)
     fillWaiters_.clear();
     std::swap(fillWaiters_, m->waiters);
     mshrs_.erase(req.addr);
-    ++stateGen_;
 
-    if (params_.sched == SchedMode::FastWake) {
-        // This is the only site that frees an MSHR or returns a quota
-        // slot, so it is the only wake point. One fill frees exactly one
-        // table slot and one quota unit (for the allocating core), so
-        // exactly one waiter wakes from each list; order is fixed for
-        // determinism: the table waiter first, then the freed core's
-        // quota waiter. Woken requests run later this same cycle; one
-        // that resolves without allocating hands its wake to the next
-        // waiter (fastWakePassOn), so single wakes cannot strand a list.
-        if (!mshrFreeWaiters_.empty())
-            wakeOne(mshrFreeWaiters_, now);
-        if (params_.arbCores > 0) {
-            auto& lane = quotaWaiters_[static_cast<unsigned>(alloc_core)];
-            if (!lane.empty())
-                wakeOne(lane, now);
-        }
+    // This is the only site that frees an MSHR or returns a quota slot,
+    // so it is the only wake point. One fill frees exactly one table slot
+    // and one quota unit (for the allocating core), so exactly one waiter
+    // wakes from each list; order is fixed for determinism: the table
+    // waiter first, then the freed core's quota waiter. Woken requests
+    // run later this same cycle; one that resolves without allocating
+    // hands its wake to the next waiter (passWakeOn), so single wakes
+    // cannot strand a list.
+    if (!mshrFreeWaiters_.empty())
+        wakeOne(mshrFreeWaiters_, now);
+    if (params_.arbCores > 0) {
+        auto& lane = quotaWaiters_[static_cast<unsigned>(alloc_core)];
+        if (!lane.empty())
+            wakeOne(lane, now);
     }
 
     bool store = false;
@@ -566,7 +516,7 @@ Cache::wakeOne(std::vector<MemRequest*>& list, Cycle now)
 }
 
 void
-Cache::fastWakePassOn(unsigned lane, Cycle now)
+Cache::passWakeOn(unsigned lane, Cycle now)
 {
     // The woken request hit (its block was filled while it was parked)
     // or merged into an existing MSHR; whichever resource it was woken
@@ -631,7 +581,6 @@ Cache::installFill(Addr addr, bool prefetched, bool origin_here,
         }
     }
 
-    ++stateGen_;
     victim->valid = true;
     victim->dirty = store;
     victim->prefetched = prefetched;
@@ -661,22 +610,9 @@ Cache::respond(MemRequest* req, Cycle when)
         disposeRequest(req);
         return;
     }
-    if (params_.sched == SchedMode::FastWake) {
-        // Fast-wake: every remaining client is an upstream cache (cores
-        // use directRespond; stores carry no client), and a cache's
-        // requestDone -- like the core's -- treats its cycle argument as
-        // the authoritative time: everything it does (fill bookkeeping,
-        // waiter wakes, its own upstream responds) is stamped at @p when
-        // or later, so delivering inline instead of through a Respond
-        // event only moves the work earlier in wall order, not in
-        // simulated time. Chains terminate at cores' directRespond, and
-        // writebacks spawned by upstream fills re-enter this cache only
-        // through access() -- never reentrantly through requestDone, so
-        // the fillWaiters_ swap in the caller stays single-owner.
-        req->client->requestDone(*req, when);
-        disposeRequest(req);
-        return;
-    }
+    // An upstream cache installs the fill, evicts (writing back to this
+    // level) and wakes its own waiters when it handles the response, so
+    // it must run at @p when in time order, not inline from here.
     eq_.schedule(when, EventCallback::make(EventKind::Respond,
                                            reqDesc(nullptr, req)));
 }
@@ -794,7 +730,6 @@ Cache::functionalFill(Addr addr, bool prefetched, bool origin_here,
                                                 now);
         }
     }
-    ++stateGen_;
     victim->valid = true;
     victim->dirty = store;
     victim->prefetched = prefetched;
@@ -888,44 +823,36 @@ Cache::audit(Cycle now) const
                     << " MSHRs allocated but " << outstandingDownstream_
                     << " downstream requests in flight (a miss request "
                        "was lost or double-answered)");
-    if (params_.sched == SchedMode::FastWake) {
-        // A parked request implies its blocking resource is still held
-        // OR a wake probe is in flight toward it: requests only park
-        // when the resource is exhausted, and the sole release site
-        // (requestDone) immediately wakes one waiter per freed unit.
-        // A waiter coexisting with a free resource and zero pending
-        // probes is stranded -- the deadlock this mode must never
-        // introduce.
-        SL_CHECK_AT(mshrFreeWaiters_.empty() || mshrs_.full() ||
+    // A parked request implies its blocking resource is still held OR a
+    // wake probe is in flight toward it: requests only park when the
+    // resource is exhausted, and the sole release site (requestDone)
+    // immediately wakes one waiter per freed unit. A waiter coexisting
+    // with a free resource and zero pending probes is stranded -- a
+    // deadlock the scheduler must never introduce.
+    SL_CHECK_AT(mshrFreeWaiters_.empty() || mshrs_.full() ||
+                    wakeProbes_ > 0,
+                comp, now,
+                mshrFreeWaiters_.size()
+                    << " requests parked on a free MSHR with no wake "
+                       "in flight (table holds " << mshrs_.size() << "/"
+                    << params_.mshrs << " entries)");
+    for (const MemRequest* w : mshrFreeWaiters_)
+        SL_CHECK_AT(w != nullptr && w->retried, comp, now,
+                    "corrupt mshr-free waiter");
+    for (std::size_t c = 0; c < quotaWaiters_.size(); ++c) {
+        // "|| mshrs_.full()": a lane waiter can be sub-quota while the
+        // table is full mid-migration (its woken sibling just moved to
+        // the table list and the cascade wake is pending).
+        SL_CHECK_AT(quotaWaiters_[c].empty() ||
+                        mshrByCore_[c] >= mshrQuota_ || mshrs_.full() ||
                         wakeProbes_ > 0,
                     comp, now,
-                    mshrFreeWaiters_.size()
-                        << " requests parked on a free MSHR with no wake "
-                           "in flight (table holds " << mshrs_.size()
-                        << "/" << params_.mshrs << " entries)");
-        for (const MemRequest* w : mshrFreeWaiters_)
-            SL_CHECK_AT(w != nullptr && w->retried, comp, now,
-                        "corrupt mshr-free waiter");
-        for (std::size_t c = 0; c < quotaWaiters_.size(); ++c) {
-            // "|| mshrs_.full()": a lane waiter can be sub-quota while
-            // the table is full mid-migration (its woken sibling just
-            // moved to the table list and the cascade wake is pending).
-            SL_CHECK_AT(quotaWaiters_[c].empty() ||
-                            mshrByCore_[c] >= mshrQuota_ ||
-                            mshrs_.full() || wakeProbes_ > 0,
-                        comp, now,
-                        "core " << c << " has parked quota waiters but "
-                        "only " << mshrByCore_[c] << "/" << mshrQuota_
-                        << " MSHRs charged and no wake in flight");
-            for (const MemRequest* w : quotaWaiters_[c])
-                SL_CHECK_AT(w != nullptr && w->retried &&
-                                w->parkQuotaStall,
-                            comp, now, "corrupt quota waiter");
-        }
-    } else {
-        SL_CHECK_AT(mshrFreeWaiters_.empty() && quotaWaiters_.empty(),
-                    comp, now,
-                    "wakeup lists populated outside fast-wake mode");
+                    "core " << c << " has parked quota waiters but only "
+                    << mshrByCore_[c] << "/" << mshrQuota_
+                    << " MSHRs charged and no wake in flight");
+        for (const MemRequest* w : quotaWaiters_[c])
+            SL_CHECK_AT(w != nullptr && w->retried && w->parkQuotaStall,
+                        comp, now, "corrupt quota waiter");
     }
     mshrs_.forEach([&](const Mshr& m) {
         SL_CHECK_AT(m.addr == blockAlign(m.addr), comp, now,
@@ -970,7 +897,6 @@ Cache::audit(Cycle now) const
 void
 Cache::reclaimReservedWays(std::uint32_t set, Cycle now)
 {
-    ++stateGen_; // conservative: tag array mutates below
     const unsigned reserved = reservedWays(set);
     Block* row = &blocks_[static_cast<std::size_t>(set) * params_.ways];
     for (unsigned w = 0; w < reserved; ++w) {
@@ -1049,19 +975,14 @@ Cache::serializeState(Serializer& s, const SnapshotCtx& ctx)
             ++mshrByCore_[qc];
         });
     }
-    // Fast-wake wakeup lists are live state: parked requests exist ONLY
-    // here (no Retry event references them), so dropping them would leak
-    // the requests and wedge their cores. Default mode keeps the lists
-    // empty and the section costs a marker plus two zero counts, so the
-    // format is identical across modes (snapshot v4).
+    // Wakeup lists are live state: parked requests exist ONLY here (no
+    // Retry event references them), so dropping them would leak the
+    // requests and wedge their cores.
     s.marker(0x57414b45, comp);
     auto ioWaiters = [&](std::vector<MemRequest*>& list) {
         std::uint64_t n = list.size();
         s.io(n);
         if (s.loading()) {
-            SL_CHECK(n == 0 || params_.sched == SchedMode::FastWake, comp,
-                     "snapshot holds " << n << " parked waiters but this "
-                     "cache runs in default (polling) mode");
             list.clear();
             for (std::uint64_t i = 0; i < n; ++i) {
                 MemRequest* w = nullptr;
@@ -1088,7 +1009,6 @@ Cache::serializeState(Serializer& s, const SnapshotCtx& ctx)
     std::uint64_t probes = wakeProbes_;
     s.io(probes);
     wakeProbes_ = static_cast<std::size_t>(probes);
-    s.io(stateGen_);
     stats_.serializeState(s);
 }
 

@@ -110,10 +110,6 @@ struct CacheParams
      *  mshrs / arbCores MSHRs per core so one core's retry storm cannot
      *  starve its siblings (multi-core LLC only). */
     unsigned arbCores = 0;
-
-    /** Structural-stall discipline: Default polls (digest-pinned),
-     *  FastWake parks on wakeup lists (DESIGN.md §14). */
-    SchedMode sched = SchedMode::Default;
 };
 
 /**
@@ -167,7 +163,7 @@ class Cache : public MemLevel, public RequestClient
 
     /**
      * Functional-warmup mode (sampled checkpoint generation, DESIGN.md
-     * §15): accesses update tags/LRU/dirty/prefetched bits, train the
+     * §14): accesses update tags/LRU/dirty/prefetched bits, train the
      * listener, and bill the same hit/miss counters, but move no
      * MemRequests and schedule no events — no MSHRs, ports, retries, or
      * DRAM traffic. Detailed and functional traffic must not interleave:
@@ -189,7 +185,8 @@ class Cache : public MemLevel, public RequestClient
      *  semantics matching the detailed Writeback path. */
     void functionalWriteback(Addr addr, Cycle now);
 
-    /** Re-present @p r after an MSHR stall (EventKind::Retry target). */
+    /** Wake probe: re-present @p r, parked on an MSHR stall, after the
+     *  resource it waited for freed (EventKind::Retry target). */
     void retryNow(MemRequest* r, Cycle now);
 
     /** Hand @p down to the next level (EventKind::Forward target). */
@@ -274,17 +271,16 @@ class Cache : public MemLevel, public RequestClient
     /** @p core clamped to a valid arbiter index ([0, arbCores)). */
     unsigned arbIndex(int core) const;
     void handleAt(MemRequest* req, Cycle start);
-    /** Fast-wake only: pop the oldest waiter off @p list and schedule
-     *  its Retry at @p now. One waiter per freed resource -- waking the
-     *  whole list would send N-1 requests through a full handleAt
-     *  re-probe just to re-park (a thundering herd costlier than the
-     *  polls being replaced). */
+    /** Pop the oldest waiter off @p list and schedule its wake probe
+     *  at @p now. One waiter per freed resource -- waking the whole list
+     *  would send N-1 requests through a full handleAt re-probe just to
+     *  re-park them (a thundering herd). */
     void wakeOne(std::vector<MemRequest*>& list, Cycle now);
-    /** Fast-wake only: called when a woken request resolved as a hit or
-     *  an MSHR merge -- it consumed neither the table slot nor the quota
-     *  unit it was woken for, so the wake must pass to the next waiter
-     *  or the freed resource would strand the list. */
-    void fastWakePassOn(unsigned lane, Cycle now);
+    /** Called when a woken request resolved as a hit or an MSHR merge --
+     *  it consumed neither the table slot nor the quota unit it was woken
+     *  for, so the wake must pass to the next waiter or the freed
+     *  resource would strand the list. */
+    void passWakeOn(unsigned lane, Cycle now);
     void installFill(Addr addr, bool prefetched, bool origin_here,
                      bool store, std::int32_t core, Cycle now);
     /** Victim scan over the packed tag/LRU side arrays: first invalid
@@ -304,10 +300,8 @@ class Cache : public MemLevel, public RequestClient
     EventQueue& eq_;
     MemLevel* next_;
     /** next_ downcast once at construction; non-null iff the next level
-     *  is another cache. Fast-wake hands misses to a downstream *cache*
-     *  as a direct timestamp-carrying call (no Forward event), but the
-     *  hop into DRAM stays an event: the FR-FCFS scheduler must never
-     *  see a request that has not arrived yet. */
+     *  is another cache. Only the functional-warmup chain calls it
+     *  directly; detailed misses always hop through a Forward event. */
     Cache* nextCache_ = nullptr;
     CacheListener* listener_ = nullptr;
     const PartitionPolicy* partition_ = nullptr;
@@ -349,20 +343,11 @@ class Cache : public MemLevel, public RequestClient
      *  simulation; the checkpoint generator flips it off before save. */
     bool functional_ = false;
 
-    /** Blocking-state generation: bumped whenever state that decides the
-     *  MSHR structural-stall branch mutates (tag array contents, MSHR
-     *  table membership, per-core quota counts, snapshot restore). A
-     *  parked request whose parkGen still matches would re-park with the
-     *  identical classification, so retryNow() skips the re-probe and
-     *  replays only the stall's observable side effects. Starts at 1 so
-     *  a pool-fresh request (parkGen 0) never matches. */
-    std::uint64_t stateGen_ = 1;
-
     /** Waiter list of the MSHR currently being filled; a member so its
      *  capacity is reused across every requestDone call. */
     std::vector<MemRequest*> fillWaiters_;
 
-    // ---- fast-wake wakeup lists (used only when sched == FastWake) ----
+    // ---- structural-stall wakeup lists (DESIGN.md §13.1) ----
     /** Requests parked on a full MSHR table, in arrival (FIFO) order.
      *  requestDone is the only site that frees an MSHR -- and every fill
      *  and eviction happens there too -- so popping this list there
@@ -370,15 +355,14 @@ class Cache : public MemLevel, public RequestClient
      *  request implies the table is full, which implies downstream fills
      *  are outstanding, which guarantees a future wake. */
     std::vector<MemRequest*> mshrFreeWaiters_;
-    /** Per-core quota-return lists (sized arbCores in fast-wake mode):
-     *  requests parked because their core exhausted its MSHR reservation
-     *  wake when a fill returns a quota slot to that core. */
+    /** Per-core quota-return lists (sized arbCores): requests parked
+     *  because their core exhausted its MSHR reservation wake when a
+     *  fill returns a quota slot to that core. */
     std::vector<std::vector<MemRequest*>> quotaWaiters_;
-    /** Wake probes scheduled but not yet executed (every Retry event in
-     *  fast-wake mode is one -- no polls exist). Lets the auditor tell a
-     *  stranded waiter (a bug) from one whose wake is simply pending a
-     *  port slot: a free resource with parked waiters is legal only
-     *  while a probe is in flight. */
+    /** Wake probes scheduled but not yet executed (every Retry event is
+     *  one). Lets the auditor tell a stranded waiter (a bug) from one
+     *  whose wake is simply pending a port slot: a free resource with
+     *  parked waiters is legal only while a probe is in flight. */
     std::size_t wakeProbes_ = 0;
 
     Cycle portTime_ = 0;

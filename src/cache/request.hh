@@ -61,14 +61,9 @@ struct MemRequest
      *  within a cycle cannot matter. */
     bool directRespond = false;
     /** The structural stall that parked this request was an MSHR quota
-     *  stall (arbitrated LLC), not a table-full stall; replayed per poll
-     *  by the retry fast path. */
+     *  stall (arbitrated LLC), so it waits on its core's quota-return
+     *  list rather than the table-full list. */
     bool parkQuotaStall = false;
-    /** Owning cache's blocking-state generation when this request parked
-     *  on an MSHR structural stall. While the cache's generation is
-     *  unchanged, a re-presentation would deterministically re-park, so
-     *  retryNow() replays the stall without the tag probe / MSHR walk. */
-    std::uint64_t parkGen = 0;
     /** Cache level that originated a prefetch (for usefulness stats:
      *  only the originating level counts issued/useful/redundant). */
     const void* origin = nullptr;

@@ -42,7 +42,7 @@ constexpr Cycle kNoCycle = std::numeric_limits<Cycle>::max();
 enum class EventKind : std::uint8_t
 {
     Generic = 0,   //!< opaque lambda; not serializable
-    Retry,         //!< comp = Cache*, a = MemRequest*
+    Retry,         //!< wake probe: comp = Cache*, a = MemRequest*
     Forward,       //!< comp = Cache* (forwarder), a = MemRequest*
     Respond,       //!< comp unused, a = MemRequest*
     PrefetchIssue, //!< comp = Cache*, a = Addr, pc, core
@@ -182,9 +182,9 @@ static_assert(std::is_trivially_copyable_v<EventCallback>,
  * [now, now + kHorizon); events beyond the window wait in a small
  * (when, seq) min-heap and are admitted as the window advances.
  * Schedule and extract are O(1) appends/pops instead of O(log n) heap
- * sifts, which matters under load: an MSHR-full retry storm keeps
- * thousands of short-range (+4 cycle) events in flight, and every one
- * of them would otherwise sift the heap twice.
+ * sifts, which matters under load: a miss storm keeps thousands of
+ * short-range events (wake probes, DRAM ticks and responses) in flight,
+ * and every one of them would otherwise sift the heap twice.
  *
  * Ordering is identical to a (when, seq) min-heap. Within a bucket,
  * FIFO append order is global schedule order: far events for a cycle

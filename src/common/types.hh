@@ -61,20 +61,6 @@ blockOffsetInPage(Addr a)
 /** Kind of memory reference carried by a trace record or request. */
 enum class AccessType : std::uint8_t { Load, Store };
 
-/**
- * Scheduling discipline for structurally stalled requests (DESIGN.md §14).
- *
- * Default re-polls a parked request on a fixed retry cadence; the poll
- * order is observable in the stat digests, so this mode stays
- * bit-identical to the golden files. FastWake parks stalled requests on
- * per-resource wakeup lists instead and wakes them (FIFO, at the
- * current cycle) exactly when the blocking resource frees, so zero poll
- * events enter the event queue. The two modes retire the same
- * instructions but interleave events differently; FastWake carries its
- * own golden digests.
- */
-enum class SchedMode : std::uint8_t { Default, FastWake };
-
 } // namespace sl
 
 #endif // SL_COMMON_TYPES_HH

@@ -1,11 +1,11 @@
 /**
  * @file
- * Checkpoint generation under functional warmup (DESIGN.md §15).
+ * Checkpoint generation under functional warmup (DESIGN.md §14).
  *
  * One single pass per (config, workload): the trace is walked through
  * the cache hierarchy in functional mode (tags/LRU/dirty updates and
  * prefetcher training, no timing events — see Cache::setFunctionalMode)
- * and a v4 snapshot is written at each requested record boundary. The
+ * and a snapshot is written at each requested record boundary. The
  * snapshots reuse the exact save/restore machinery detailed runs use
  * (snapshot.hh), so a sampled interval restores through the same
  * CRC-and-digest-guarded path as any resumed run.

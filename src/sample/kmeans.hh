@@ -1,6 +1,6 @@
 /**
  * @file
- * Deterministic seeded k-means for interval selection (DESIGN.md §15).
+ * Deterministic seeded k-means for interval selection (DESIGN.md §14).
  *
  * k-means++ initialization drawn from the repo Rng (xoshiro256**), a
  * fixed iteration budget, and lowest-index tie-breaks everywhere, so the

@@ -1,6 +1,6 @@
 /**
  * @file
- * Interval profiler for sampled simulation (DESIGN.md §15).
+ * Interval profiler for sampled simulation (DESIGN.md §14).
  *
  * Walks a trace once and cuts its evaluation region (post-warmup) into N
  * equal-record intervals, emitting a normalized feature vector per

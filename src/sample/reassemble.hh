@@ -1,6 +1,6 @@
 /**
  * @file
- * Weighted reassembly math for sampled simulation (DESIGN.md §15).
+ * Weighted reassembly math for sampled simulation (DESIGN.md §14).
  *
  * Sampled runs report weighted means with confidence intervals. The
  * effective sample size uses Kish's formula n_eff = (Σw)² / Σw², so a

@@ -1,14 +1,14 @@
 /**
  * @file
  * The sampled runner: profile -> cluster -> checkpoint -> simulate the
- * representatives in detail -> reassemble (DESIGN.md §15).
+ * representatives in detail -> reassemble (DESIGN.md §14).
  *
  * A sampled run replaces one long detailed simulation with K short
  * detailed intervals chosen by k-means over single-pass trace features,
  * each restored from a functional-warmup checkpoint and fanned through
- * BatchRunner (fast-wake eligible, manifest-resumable). The weighted
- * reassembly reports IPC/MPKI/coverage/accuracy with confidence
- * intervals in the same ==JSON== shape the benches emit.
+ * BatchRunner (manifest-resumable). The weighted reassembly reports
+ * IPC/MPKI/coverage/accuracy with confidence intervals in the same
+ * ==JSON== shape the benches emit.
  */
 
 #ifndef SL_SAMPLE_SAMPLED_HH

@@ -36,7 +36,12 @@ BatchRunner::BatchRunner(unsigned threads, BatchOptions opts)
 std::string
 jobDigest(const ExperimentSpec& spec)
 {
-    std::string key = spec.label;
+    // The results version leads the key: a manifest journalled by a
+    // build whose results differ must rerun its jobs, never splice its
+    // stale results into this build's report.
+    std::string key = "r" + std::to_string(kResultsVersion);
+    key += '\0';
+    key += spec.label;
     key += '\0';
     key += toJson(spec.config);
     for (const auto& w : spec.workloads) {
@@ -290,14 +295,7 @@ toJson(const RunConfig& cfg)
        << ",\"cores\":" << cfg.cores
        << ",\"dram_mts\":" << cfg.dramMTs
        << ",\"trace_scale\":" << jsonNumber(cfg.traceScale)
-       << ",\"seed\":" << cfg.seed;
-    // Emitted only in fast-wake mode so default-mode manifests and
-    // snapshot digests stay byte-identical to pre-fast-wake builds. The
-    // fragment is what makes the mode part of the snapshot config digest
-    // (snapshot.cc keys its mode-mismatch diagnostic on it).
-    if (cfg.fastWake)
-        os << ",\"sched_mode\":\"fast_wake\"";
-    os << "}";
+       << ",\"seed\":" << cfg.seed << "}";
     return os.str();
 }
 

@@ -110,10 +110,22 @@ class BatchRunner
 };
 
 /**
+ * Version of what the simulator computes. Bump it in any change that
+ * moves simulated results -- every re-pin of the golden set
+ * (tests/golden_runs.hh) is one -- so that sweep manifests journalled
+ * by older builds rerun instead of resuming. Snapshot layout has its
+ * own version (kSnapshotVersion). Manifests written before this
+ * constant existed carry no version and never match.
+ *   1: one stall scheduler (wake-on-free, evented cache-to-cache hops).
+ */
+constexpr std::uint32_t kResultsVersion = 1;
+
+/**
  * Stable identity of one job for the sweep manifest: a 64-bit FNV-1a
- * over the label, the config JSON, and the workload list, rendered as
- * hex. Collisions across a sweep's handful of jobs are not a realistic
- * concern; a digest only needs to tell jobs of one sweep apart.
+ * over kResultsVersion, the label, the config JSON, and the workload
+ * list, rendered as hex. Collisions across a sweep's handful of jobs
+ * are not a realistic concern; a digest only needs to tell jobs of one
+ * sweep apart.
  */
 std::string jobDigest(const ExperimentSpec& spec);
 

@@ -85,7 +85,6 @@ systemConfigFor(const RunConfig& cfg)
     sc.faults = cfg.faults;
     sc.hardening = cfg.hardening;
     sc.telemetry = cfg.telemetry;
-    sc.sched = cfg.fastWake ? SchedMode::FastWake : SchedMode::Default;
     return sc;
 }
 
@@ -127,8 +126,6 @@ formatReproBundle(const RunConfig& cfg,
        << ")\n";
     os << "l1_prefetcher = " << cfg.l1 << "\n";
     os << "l2_prefetcher = " << cfg.l2 << "\n";
-    if (cfg.fastWake)
-        os << "sched_mode = fast_wake\n";
     os << "dram_mts = " << cfg.dramMTs << "\n";
     os << "fault.seed = " << cfg.faults.seed << "\n";
     os << "fault.metadata_bit_flip_rate = "
@@ -417,11 +414,6 @@ printUsage(std::ostream& os)
           "$SL_TRACE_SCALE or 1.0)\n"
           "  --seed N                trace synthesis seed (default 1)\n"
           "  --dram-mts N            DRAM transfer rate (default 3200)\n"
-          "  --fast-wake             event-driven wakeups instead of "
-          "retry polls\n"
-          "                          (faster; digests differ from default "
-          "mode -- see\n"
-          "                          DESIGN.md §14; also SL_FAST_WAKE=1)\n"
           "  --telemetry             enable interval sampling and "
           "histograms\n"
           "  --telemetry-interval N  cycles per interval (default "
@@ -447,7 +439,7 @@ printUsage(std::ostream& os)
           "jobs snapshot then fail\n"
           "  --retries N             retry failed sweep jobs up to N "
           "times (implies --sweep)\n"
-          "sampled runs (DESIGN.md §15):\n"
+          "sampled runs (DESIGN.md §14):\n"
           "  --sample                profile, cluster, checkpoint, and "
           "simulate K\n"
           "                          representative intervals instead of "
@@ -675,12 +667,6 @@ runnerMain(int argc, char** argv)
     bool sample_report = false;
     SampleOptions sample_opts;
 
-    // SL_FAST_WAKE=1 opts whole invocations into fast-wake scheduling
-    // without touching their command lines (bench sweeps, CI stages);
-    // --fast-wake does the same per invocation.
-    if (const char* e = std::getenv("SL_FAST_WAKE"); e && e[0] == '1')
-        cfg.fastWake = true;
-
     // Flags taking a value read it from the next argv slot.
     auto value = [&](int& i, const char* flag) -> const char* {
         if (i + 1 >= argc) {
@@ -743,8 +729,6 @@ runnerMain(int argc, char** argv)
                 return 2;
             cfg.dramMTs =
                 static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (arg == "--fast-wake") {
-            cfg.fastWake = true;
         } else if (arg == "--telemetry") {
             telemetry = true;
         } else if (arg == "--telemetry-interval") {

@@ -37,11 +37,6 @@ struct RunConfig
     FaultConfig faults;          //!< deterministic fault injection (off)
     HardeningConfig hardening;   //!< auditor / watchdog knobs
     TelemetryConfig telemetry;   //!< observability (off by default)
-    /** Opt into fast-wake scheduling (`--fast-wake` / SL_FAST_WAKE=1):
-     *  structural stalls park on wakeup lists instead of retry polls.
-     *  Part of the config digest: fast-wake snapshots and golden files
-     *  are distinct from default-mode ones (DESIGN.md §14). */
-    bool fastWake = false;
 
     /**
      * Reject unrunnable configurations; throws SimError. Unknown
@@ -192,7 +187,7 @@ struct RunHooks
     double wallTimeoutSec = 0;
     std::string timeoutSnapshotPath;
     /**
-     * Sampled-interval measurement window (DESIGN.md §15), in records
+     * Sampled-interval measurement window (DESIGN.md §14), in records
      * retired per core; 0 = the trace's own defaults. Applied after any
      * snapshot restore, so a checkpoint taken before the window serves
      * any interval cut from it — which is exactly why these live in

@@ -199,7 +199,6 @@ System::serializeState(Serializer& s, const SnapshotCtx& ctx)
         s.io(r->retried);
         s.io(r->directRespond);
         s.io(r->parkQuotaStall);
-        s.io(r->parkGen);
         ctx.ioComp(s, r->origin);
     }
 
@@ -394,37 +393,11 @@ readSnapshotFile(const std::string& path, const std::string& configDigest,
     const std::string fileDigest(
         reinterpret_cast<const char*>(bytes.data() + sizeof(h)),
         static_cast<std::size_t>(h.digestBytes));
-    if (fileDigest != configDigest) {
-        // Distinguish a pure scheduling-mode mismatch (same run, one side
-        // fast-wake) from a genuine config mismatch: the mode is the
-        // optional ",\"sched_mode\":\"fast_wake\"" digest fragment, so if
-        // stripping it from both sides makes them equal, the ONLY
-        // difference is the mode. Restoring across modes silently
-        // diverges (fast-wake snapshots hold parked waiters; default-mode
-        // ones hold poll events), so it gets its own error component.
-        static const std::string kModeFrag = ",\"sched_mode\":\"fast_wake\"";
-        auto stripMode = [](std::string d) {
-            if (const auto pos = d.find(kModeFrag); pos != std::string::npos)
-                d.erase(pos, kModeFrag.size());
-            return d;
-        };
-        const bool fileFast =
-            fileDigest.find(kModeFrag) != std::string::npos;
-        SL_CHECK(stripMode(fileDigest) != stripMode(configDigest),
-                 "snapshot_mode",
-                 "scheduling-mode mismatch: '"
-                     << path << "' was saved in "
-                     << (fileFast ? "fast-wake" : "default (polling)")
-                     << " mode but this run uses "
-                     << (fileFast ? "default (polling)" : "fast-wake")
-                     << " mode; snapshots do not transfer across modes"
-                     << " (rerun with matching --fast-wake)");
-        SL_CHECK(false, "snapshot",
-                 "configuration mismatch: '"
-                     << path << "' was saved under a different run setup\n"
-                     << "  snapshot: " << fileDigest << "\n"
-                     << "  current:  " << configDigest);
-    }
+    SL_CHECK(fileDigest == configDigest, "snapshot",
+             "configuration mismatch: '"
+                 << path << "' was saved under a different run setup\n"
+                 << "  snapshot: " << fileDigest << "\n"
+                 << "  current:  " << configDigest);
 
     const std::uint8_t* payload = bytes.data() + sizeof(h) + h.digestBytes;
     const std::size_t n = static_cast<std::size_t>(h.payloadBytes);

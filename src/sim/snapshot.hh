@@ -36,9 +36,9 @@ namespace sl
 class System;
 
 /** On-disk snapshot format version; bump on any payload layout change.
- *  v4: per-cache fast-wake wakeup-list sections (empty in default mode)
- *  and the scheduling mode folded into the config digest. */
-constexpr std::uint32_t kSnapshotVersion = 4;
+ *  v5: one stall scheduler -- the request record drops its poll
+ *  generation and caches no longer carry a blocking-state generation. */
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 /**
  * Serialize the full dynamic state of @p sys, paused between cycles at

@@ -119,7 +119,6 @@ System::System(const SystemConfig& cfg, std::vector<TracePtr> traces)
     // Multi-core: the banked ports become per-core arbitrated lanes and
     // each core gets an llcMshrsPerCore reservation quota.
     llc_params.arbCores = cfg.cores > 1 ? cfg.cores : 0;
-    llc_params.sched = cfg.sched;
     llc_ = std::make_unique<Cache>(llc_params, eq_, dram_.get(), &pool_);
     llc_->setFaultInjector(faults_.get());
     llc_->setTelemetry(telemetry_.get());
@@ -138,7 +137,6 @@ System::System(const SystemConfig& cfg, std::vector<TracePtr> traces)
         l2p.latency = cfg.l2Latency;
         l2p.mshrs = cfg.l2Mshrs;
         l2p.ports = cfg.l2Ports;
-        l2p.sched = cfg.sched;
         l2s_.push_back(
             std::make_unique<Cache>(l2p, eq_, llc_.get(), &pool_));
         l2s_.back()->setFaultInjector(faults_.get());
@@ -152,7 +150,6 @@ System::System(const SystemConfig& cfg, std::vector<TracePtr> traces)
         l1p.latency = cfg.l1dLatency;
         l1p.mshrs = cfg.l1dMshrs;
         l1p.ports = cfg.l1dPorts;
-        l1p.sched = cfg.sched;
         l1ds_.push_back(std::make_unique<Cache>(l1p, eq_,
                                                 l2s_.back().get(), &pool_));
         l1ds_.back()->setFaultInjector(faults_.get());

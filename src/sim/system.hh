@@ -69,11 +69,6 @@ struct SystemConfig
     HardeningConfig hardening; //!< auditor / watchdog knobs
     TelemetryConfig telemetry; //!< observability (off by default)
 
-    /** Structural-stall scheduling for every cache level: Default polls
-     *  (bit-identical digests), FastWake parks on wakeup lists
-     *  (different-but-valid interleaving; DESIGN.md §14). */
-    SchedMode sched = SchedMode::Default;
-
     /**
      * Reject impossible geometry before any component is built: zero
      * capacities, non-power-of-two set counts, zero latencies / MSHRs /

@@ -191,12 +191,11 @@ TEST(BatchRunner, FailedJobReportsErrorWithoutKillingSiblings)
     RunConfig good;
     good.traceScale = kTinyScale;
 
-    // The known livelock recipe from the hardening tests: every L2->LLC
-    // request is lost, so retirement stalls and the watchdog trips.
+    // Every miss request is lost, so the core wedges with nothing left
+    // to wake it and the run loop reports the deadlock.
     RunConfig stuck = good;
     stuck.faults.loseRequestRate = 1.0;
     stuck.hardening.auditInterval = 0;
-    stuck.hardening.watchdogWindow = 50'000;
 
     std::vector<ExperimentSpec> specs;
     specs.push_back({"ok:0", good, {"spec06_bzip2"}});
@@ -211,11 +210,13 @@ TEST(BatchRunner, FailedJobReportsErrorWithoutKillingSiblings)
 
     ASSERT_FALSE(jobs[1].ok);
     ASSERT_TRUE(jobs[1].error.has_value());
-    EXPECT_EQ(jobs[1].error->component(), "progress_watchdog");
+    EXPECT_EQ(jobs[1].error->component(), "system");
+    EXPECT_NE(jobs[1].error->detail().find("deadlock"), std::string::npos);
     // The repro bundle travels with the job instead of racing siblings
     // for the bundle file.
-    EXPECT_NE(jobs[1].reproBundle.find("progress_watchdog"),
+    EXPECT_NE(jobs[1].reproBundle.find("error.component = system"),
               std::string::npos);
+    EXPECT_NE(jobs[1].reproBundle.find("deadlock"), std::string::npos);
     EXPECT_NE(jobs[1].reproBundle.find("lose_request_rate = 1"),
               std::string::npos);
 }

@@ -280,8 +280,9 @@ TEST(Auditor, CleanRunPassesPeriodicAudits)
 /**
  * A trace of loads to many distinct blocks: with every downstream miss
  * request lost, the first 16 misses occupy every L1D MSHR forever and
- * all later misses retry every few cycles — a livelock, not a quiet
- * deadlock, so the event queue never drains.
+ * all later misses park on the full table with nothing left to wake
+ * them. The run loop reports that quiet deadlock at once unless
+ * something else keeps the event queue busy.
  */
 TracePtr
 distinctBlockTrace()
@@ -313,16 +314,27 @@ TEST(Auditor, CatchesLostMissRequest)
     }
 }
 
+/** A livelock stand-in: an event that reschedules itself every 1,000
+ *  cycles forever, so the queue never drains while nothing retires. */
+void
+armHeartbeat(EventQueue& eq, Cycle at)
+{
+    eq.schedule(at, [&eq](Cycle now) { armHeartbeat(eq, now + 1'000); });
+}
+
 TEST(Watchdog, TripsOnLiveLockedSystemWithSnapshot)
 {
-    // With the auditor off, the same livelock keeps the event queue busy
-    // (so the deadlock check can't fire) while nothing retires. Only the
-    // watchdog can convert this hang into a diagnosis.
+    // Every miss is lost, so the core wedges; on its own that is a quiet
+    // deadlock the run loop reports at once. The heartbeat keeps the
+    // event queue busy (so the deadlock check can't fire) while nothing
+    // retires, and with the auditor off only the watchdog can convert
+    // this hang into a diagnosis.
     SystemConfig cfg;
     cfg.faults.loseRequestRate = 1.0;
     cfg.hardening.auditInterval = 0; // isolate the watchdog
     cfg.hardening.watchdogWindow = 50'000;
     System sys(cfg, {distinctBlockTrace()});
+    armHeartbeat(sys.eventQueue(), 1'000);
     try {
         sys.run();
         FAIL() << "watchdog did not trip";

@@ -4,18 +4,17 @@
  *
  * Two halves: unit tests for the structural changes (pow2 rounding, flat
  * slot arrays, occupancy masks, resize rearrangement accounting) and
- * golden-counter determinism tests pinning full-run stat snapshots of the
- * refactored stores to digests captured from the pre-refactor build.
+ * a golden-counter determinism test pinning full-run stat snapshots of the
+ * stores to the golden set (golden_runs.hh).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <map>
 #include <string>
 
 #include "common/hash.hh"
 #include "core/stream_store.hh"
+#include "golden_runs.hh"
 #include "sim/runner.hh"
 #include "temporal/pairwise_store.hh"
 
@@ -210,89 +209,14 @@ TEST(StreamFastPath, OccupancyMasksSurviveChurn)
     EXPECT_NO_THROW(store.audit(0));
 }
 
-// ---------- golden-counter determinism across the refactor ----------
+// ---------- golden-counter determinism ----------
 
-std::uint64_t
-fnv1a(std::uint64_t h, const void* data, std::size_t n)
-{
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
-digestStats(const std::map<std::string, std::uint64_t>& m)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto& [k, v] : m) {
-        h = fnv1a(h, k.data(), k.size());
-        h = fnv1a(h, &v, sizeof(v));
-    }
-    return h;
-}
-
-struct GoldenRow
-{
-    const char* l2;
-    const char* workload;
-    std::uint64_t ipcBits;
-    std::uint64_t pfStatsDigest, storeStatsDigest;
-    std::uint64_t dramReads, dramBytes;
-    std::uint64_t metaReads, metaWrites;
-    std::uint64_t l2Miss, l2Useful, l2Issued;
-};
-
-// Captured from the pre-refactor build (traceScale 0.05, seed 1, stride
-// L1). The digests cover the *complete* prefetcher and metadata-store
-// stat maps, so any change to counter values -- or to which counters get
-// registered -- fails here.
-constexpr GoldenRow kGolden[] = {
-    {"streamline", "spec06_mcf", 0x3fd4cffd02f97434ULL,
-     10141471530684141400ULL, 7464902752503185837ULL, 40633, 2600512,
-     15156, 6962, 26899, 15610, 15762},
-    {"streamline", "gap_bfs", 0x4017fffe413df1bbULL,
-     6536030197300381017ULL, 7851821473370092789ULL, 790, 50560, 1795,
-     961, 2460, 2859, 2866},
-    {"triage", "spec06_mcf", 0x3fd6faba307ff79dULL,
-     6110952764202114771ULL, 14695981039346656037ULL, 40682, 2603648,
-     117990, 35680, 25342, 21560, 22050},
-    {"triage", "gap_bfs", 0x40103ccad283ecc7ULL, 6410622843698188955ULL,
-     14695981039346656037ULL, 819, 52416, 17682, 5121, 3251, 2782, 2989},
-    {"triangel", "spec06_mcf", 0x3fd55ae428473e93ULL,
-     4055457244824761657ULL, 14695981039346656037ULL, 40671, 2602944,
-     43795, 11125, 25237, 20798, 21111},
-    {"triangel", "gap_bfs", 0x4017fffe413df1bbULL,
-     16602019499126240270ULL, 14695981039346656037ULL, 790, 50560, 5928,
-     1833, 1574, 3761, 3772},
-};
-
+// The full-run cells of the golden set exercise both metadata stores
+// end to end (Streamline's StreamStore, Triage/Triangel's PairwiseStore).
 TEST(MetadataFastPathDeterminism, MatchesPreRefactorGoldenStats)
 {
-    for (const GoldenRow& g : kGolden) {
-        clearTraceCache();
-        RunConfig cfg;
-        cfg.traceScale = 0.05;
-        cfg.l2 = g.l2;
-        const RunResult r = runWorkload(cfg, g.workload);
-        const std::string where =
-            std::string(g.l2) + "/" + g.workload;
-
-        std::uint64_t ipc_bits = 0;
-        std::memcpy(&ipc_bits, &r.cores[0].ipc, sizeof(ipc_bits));
-        EXPECT_EQ(ipc_bits, g.ipcBits) << where;
-        EXPECT_EQ(digestStats(r.l2PfStats[0]), g.pfStatsDigest) << where;
-        EXPECT_EQ(digestStats(r.storeStats), g.storeStatsDigest) << where;
-        EXPECT_EQ(r.dramReads, g.dramReads) << where;
-        EXPECT_EQ(r.dramBytes, g.dramBytes) << where;
-        EXPECT_EQ(r.llcMetaReads, g.metaReads) << where;
-        EXPECT_EQ(r.llcMetaWrites, g.metaWrites) << where;
-        EXPECT_EQ(r.cores[0].l2DemandMisses, g.l2Miss) << where;
-        EXPECT_EQ(r.cores[0].l2PrefetchUseful, g.l2Useful) << where;
-        EXPECT_EQ(r.cores[0].l2PrefetchIssued, g.l2Issued) << where;
-    }
+    for (const golden::Row& g : golden::kRows)
+        golden::expectMatches(g);
 }
 
 } // namespace

@@ -11,13 +11,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "cache/mshr_table.hh"
 #include "cache/request.hh"
 #include "common/hash.hh"
 #include "common/pool.hh"
+#include "golden_runs.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "trace/workloads.hh"
@@ -346,25 +347,24 @@ TEST(RequestPoolTest, SystemRunBalancesAndDrains)
     EXPECT_EQ(pool.freeCount(), pool.capacity());
 }
 
-// ---------- determinism (before/after the hot-path overhaul) ----------
+// ---------- determinism ----------
 
-struct Golden
+/** The golden set's Streamline cells (golden_runs.hh). */
+std::vector<golden::Row>
+streamlineRows()
 {
-    const char* workload;
-    std::uint64_t ipcBits;
-    std::uint64_t dramReads, dramBytes;
-    std::uint64_t metaReads, metaWrites;
-    std::uint64_t l2Miss, l2Useful, l2Issued;
-};
+    std::vector<golden::Row> rows;
+    for (const golden::Row& g : golden::kRows)
+        if (std::string(g.l2) == "streamline")
+            rows.push_back(g);
+    return rows;
+}
 
-// Captured from the pre-overhaul build (same runner API, streamline L2,
-// stride L1, traceScale 0.05, seed 1).
-constexpr Golden kGolden[] = {
-    {"spec06_mcf", 0x3fd4cffd02f97434ULL, 40633, 2600512, 15156, 6962,
-     26899, 15610, 15762},
-    {"gap_bfs", 0x4017fffe413df1bbULL, 790, 50560, 1795, 961, 2460, 2859,
-     2866},
-};
+TEST(Determinism, MatchesPrePoolGoldenCounters)
+{
+    for (const golden::Row& g : streamlineRows())
+        golden::expectMatches(g);
+}
 
 RunResult
 goldenRun(const char* workload)
@@ -376,26 +376,9 @@ goldenRun(const char* workload)
     return runWorkload(cfg, workload);
 }
 
-TEST(Determinism, MatchesPrePoolGoldenCounters)
-{
-    for (const Golden& g : kGolden) {
-        const RunResult r = goldenRun(g.workload);
-        std::uint64_t ipc_bits = 0;
-        std::memcpy(&ipc_bits, &r.cores[0].ipc, sizeof(ipc_bits));
-        EXPECT_EQ(ipc_bits, g.ipcBits) << g.workload;
-        EXPECT_EQ(r.dramReads, g.dramReads) << g.workload;
-        EXPECT_EQ(r.dramBytes, g.dramBytes) << g.workload;
-        EXPECT_EQ(r.llcMetaReads, g.metaReads) << g.workload;
-        EXPECT_EQ(r.llcMetaWrites, g.metaWrites) << g.workload;
-        EXPECT_EQ(r.cores[0].l2DemandMisses, g.l2Miss) << g.workload;
-        EXPECT_EQ(r.cores[0].l2PrefetchUseful, g.l2Useful) << g.workload;
-        EXPECT_EQ(r.cores[0].l2PrefetchIssued, g.l2Issued) << g.workload;
-    }
-}
-
 TEST(Determinism, BackToBackRunsAreBitIdentical)
 {
-    for (const Golden& g : kGolden) {
+    for (const golden::Row& g : streamlineRows()) {
         const RunResult a = goldenRun(g.workload);
         const RunResult b = goldenRun(g.workload);
         EXPECT_EQ(a.cores[0].ipc, b.cores[0].ipc) << g.workload;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the sampled-simulation subsystem (DESIGN.md §15): the
+ * Tests for the sampled-simulation subsystem (DESIGN.md §14): the
  * weighted reassembly math against hand-computed fixtures, profiler
  * partitioning and determinism, seeded k-means behaviour, checkpoint
  * reuse, and the end-to-end guarantees the acceptance criteria name —

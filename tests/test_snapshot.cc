@@ -15,8 +15,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -315,10 +317,85 @@ TEST_F(SnapshotRejection, TruncatedFileRejected)
 
 TEST_F(SnapshotRejection, VersionSkewRejected)
 {
-    auto bytes = slurp(path_);
-    bytes[8] = 99; // version field follows the 8-byte magic
-    spit(path_, bytes);
-    EXPECT_NE(restoreError().find("version"), std::string::npos);
+    // The previous format (its request records carry fields this build
+    // no longer has) and a far-future one are both refused up front.
+    const auto pristine = slurp(path_);
+    for (const std::uint32_t v : {kSnapshotVersion - 1, 99u}) {
+        auto bytes = pristine;
+        bytes[8] = static_cast<std::uint8_t>(v); // version follows magic
+        spit(path_, bytes);
+        const std::string err = restoreError();
+        EXPECT_NE(err.find("version skew"), std::string::npos) << v;
+        EXPECT_NE(err.find("format v" + std::to_string(v)),
+                  std::string::npos)
+            << err;
+    }
+}
+
+/** Snapshots written before wake-on-free became the only stall scheduler
+ *  (format v4) do not restore, whichever scheduling mode wrote them: a
+ *  polling save holds retry-poll events and generation-stamped request
+ *  records, a wake-on-free save request records this format no longer
+ *  reads. The polling default never marked its config digest, so a
+ *  polling save's digest is exactly this run's and the version is all
+ *  that stops it; a wake-on-free save's digest carried one more member,
+ *  a scheduling-mode tag. Both must fail on the version -- the real
+ *  cause -- and never restore or report a config mismatch. (The suite
+ *  keeps the opt-in mode's old name, FastWake.) */
+TEST(FastWakeSnapshot, ModeMismatchRejectedBothWays)
+{
+    const std::string path = "sl_test_snapshot_old_modes.bin";
+    const RunConfig cfg = smallConfig();
+    const std::vector<std::string> w{"spec06_mcf"};
+    RunHooks save;
+    save.snapshotAt = 20'000;
+    save.snapshotPath = path;
+    runWorkloadsRaw(cfg, w, save);
+
+    // Header: 8-byte magic, u32 version, u32 payload CRC, u64 payload
+    // bytes, u64 digest bytes; the digest text follows it.
+    constexpr std::size_t kVersionAt = 8, kDigestBytesAt = 24;
+    constexpr std::size_t kHeaderBytes = 32;
+    std::vector<char> polling = slurp(path);
+    std::uint64_t digestBytes = 0;
+    std::memcpy(&digestBytes, polling.data() + kDigestBytesAt,
+                sizeof(digestBytes));
+    const std::string digest = snapshotDigest(cfg, w);
+    ASSERT_EQ(std::string(polling.data() + kHeaderBytes, digestBytes),
+              digest);
+    const std::uint32_t previous = kSnapshotVersion - 1;
+    std::memcpy(polling.data() + kVersionAt, &previous, sizeof(previous));
+
+    // The wake-on-free save: the same file with a scheduling-mode member
+    // closing the digest's config object. Its value does not matter here.
+    std::vector<char> wakeOnFree = polling;
+    const std::string member = ",\"sched_mode\":\"previous\"";
+    const auto configEnd = wakeOnFree.begin() + kHeaderBytes +
+                           static_cast<std::ptrdiff_t>(digest.rfind('}'));
+    wakeOnFree.insert(configEnd, member.begin(), member.end());
+    digestBytes += member.size();
+    std::memcpy(wakeOnFree.data() + kDigestBytesAt, &digestBytes,
+                sizeof(digestBytes));
+
+    for (const auto& [mode, bytes] : {std::pair{"polling", &polling},
+                                      std::pair{"wake-on-free", &wakeOnFree}}) {
+        spit(path, *bytes);
+        RunHooks restore;
+        restore.restorePath = path;
+        try {
+            runWorkloadsRaw(cfg, w, restore);
+            ADD_FAILURE() << mode << " save from format v" << previous
+                          << " restored";
+        } catch (const SimError& e) {
+            EXPECT_EQ(e.component(), "snapshot") << mode;
+            const std::string what = e.what();
+            EXPECT_NE(what.find("version skew"), std::string::npos)
+                << mode << ": " << what;
+            EXPECT_EQ(what.find("configuration mismatch"), std::string::npos)
+                << mode << ": " << what;
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST_F(SnapshotRejection, BadMagicRejected)
@@ -417,6 +494,48 @@ TEST(SweepManifest, FailedJobsRerunOnResume)
     ASSERT_EQ(second.size(), 1u);
     EXPECT_FALSE(second[0].ok);
     EXPECT_GE(second[0].attempts, 1u);
+    std::remove(manifest.c_str());
+}
+
+/** The digest a build before kResultsVersion journalled: FNV-1a over
+ *  label, config JSON and workloads, with no version in the key. */
+std::string
+unversionedJobDigest(const ExperimentSpec& s)
+{
+    std::string key = s.label + '\0' + toJson(s.config);
+    for (const auto& w : s.workloads)
+        key += '\0' + w;
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : key) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
+}
+
+TEST(SweepManifest, JobsJournalledUnderOtherResultsRerun)
+{
+    // A manifest written by a build that simulated differently must not
+    // splice its results into this build's report: the results version
+    // is part of the job digest, so its ok lines match nothing here.
+    const std::string manifest = "sl_test_sweep_version.manifest.jsonl";
+    const ExperimentSpec s = spec("mcf", "spec06_mcf");
+    ASSERT_NE(unversionedJobDigest(s), jobDigest(s));
+    {
+        std::ofstream out(manifest, std::ios::trunc);
+        out << "{\"digest\":\"" << unversionedJobDigest(s)
+            << "\",\"ok\":true,\"job\":{\"label\":\"stale\"}}\n";
+    }
+    BatchOptions opts;
+    opts.manifestPath = manifest;
+    const auto rs = BatchRunner(1, opts).run({s});
+    ASSERT_EQ(rs.size(), 1u);
+    EXPECT_TRUE(rs[0].ok);
+    EXPECT_GE(rs[0].attempts, 1u) << "stale journal line was replayed";
+    EXPECT_TRUE(rs[0].cachedJson.empty());
     std::remove(manifest.c_str());
 }
 
