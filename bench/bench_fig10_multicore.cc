@@ -6,9 +6,10 @@
  *  (c) speedup vs DRAM transfer rate (bandwidth sweep).
  *
  * Every core count sweeps the full SL_MIX_COUNT seeded mixes through
- * BatchRunner; per-mix contention rollups (pressure drops, MSHR quota
- * stalls, DRAM read-queue wait) ride along in the ==JSON== notes so the
- * shared-memory-system behaviour behind the sign is inspectable.
+ * BatchRunner; per-mix contention rollups (pressure drops, DRAM
+ * read-queue wait, demand/prefetch read mix) ride along in the ==JSON==
+ * notes so the shared-memory-system behaviour behind the sign is
+ * inspectable.
  *
  * Mix count and trace scale shrink by default (SL_MIX_COUNT /
  * SL_BENCH_SCALE override; the paper simulates 150 mixes per core count).
@@ -30,7 +31,6 @@ using namespace sl::bench;
 struct PressureRollup
 {
     std::uint64_t pfDropped = 0;
-    std::uint64_t quotaStalls = 0;
     std::uint64_t readQWait = 0;
     std::uint64_t demandReads = 0;
     std::uint64_t prefetchReads = 0;
@@ -39,7 +39,6 @@ struct PressureRollup
     add(const RunResult& r)
     {
         pfDropped += r.pfDroppedPressure;
-        quotaStalls += r.llcQuotaStalls;
         readQWait += r.dramReadQueueWait;
         demandReads += r.dramDemandReads;
         prefetchReads += r.dramPrefetchReads;
@@ -49,7 +48,6 @@ struct PressureRollup
     json() const
     {
         return "{\"pf_dropped\":" + std::to_string(pfDropped) +
-               ",\"quota_stalls\":" + std::to_string(quotaStalls) +
                ",\"read_q_wait\":" + std::to_string(readQWait) +
                ",\"demand_reads\":" + std::to_string(demandReads) +
                ",\"prefetch_reads\":" + std::to_string(prefetchReads) +
@@ -176,9 +174,8 @@ main()
                     100 * (sp.tgWMean() - 1), 100 * (sp.slGeo() - 1),
                     100 * (sp.slWMean() - 1));
         std::printf("  contention: streamline dropped %llu prefetches, "
-                    "%llu quota stalls, %llu read-q wait cycles\n",
+                    "%llu read-q wait cycles\n",
                     static_cast<unsigned long long>(sp.slP.pfDropped),
-                    static_cast<unsigned long long>(sp.slP.quotaStalls),
                     static_cast<unsigned long long>(sp.slP.readQWait));
         noteCoreCount(cores, sp);
         std::fflush(stdout);

@@ -8,7 +8,7 @@
 #   scripts/check.sh simspeed   # simulator-speed gate (relative + hard floors)
 #   scripts/check.sh telemetry  # instrumented run + export validation
 #   scripts/check.sh resilience # hang-timeout kill + manifest resume
-#   scripts/check.sh multicore  # 2-core ASan smoke
+#   scripts/check.sh multicore  # 2-core and 4-core ASan smoke
 #   scripts/check.sh sampling   # sampled runs: ASan smoke + fidelity/speed
 #
 # The modes after `sanitize` add what ctest cannot cover: runs of the
@@ -331,19 +331,28 @@ EOF
 }
 
 # Multicore stage: the shared memory system (per-channel DRAM scheduler,
-# LLC arbiter with MSHR quotas, MemPressure prefetch demotion) only
-# exists when cores > 1. A 2-core mix under ASan+UBSan shakes memory
-# errors out of the queue/arbiter/pressure paths; the single-core
-# golden digests that prove them inert otherwise run in ctest.
+# per-core LLC port lanes, MemPressure prefetch demotion) only exists
+# when cores > 1. A 2-core and a 4-core mix under ASan+UBSan shake
+# memory errors out of the queue/lane/pressure paths (4 cores drive four
+# LLC lanes and four scheduler requestors); the single-core golden
+# digests that prove them inert otherwise run in ctest.
 multicore() {
     local sandir="$1"
-    echo "== multicore: 2-core ASan smoke =="
+    echo "== multicore: 2-core and 4-core ASan smoke =="
     cmake --build "${sandir}" --target sl_run -j
     "${sandir}/src/sim/sl_run" --l2 streamline --scale 0.05 \
         --mix spec06_mcf,gap_bfs > "${sandir}/multicore_smoke.out"
     grep -q 'core 0: spec06_mcf ipc=' "${sandir}/multicore_smoke.out"
     grep -q 'core 1: gap_bfs ipc=' "${sandir}/multicore_smoke.out"
-    echo "2-core ASan smoke mix green"
+    "${sandir}/src/sim/sl_run" --l2 streamline --scale 0.05 \
+        --mix spec06_mcf,spec06_xalancbmk,spec06_soplex,gap_pr \
+        > "${sandir}/multicore_smoke4.out"
+    local i=0
+    for w in spec06_mcf spec06_xalancbmk spec06_soplex gap_pr; do
+        grep -q "core ${i}: ${w} ipc=" "${sandir}/multicore_smoke4.out"
+        i=$((i + 1))
+    done
+    echo "2-core and 4-core ASan smoke mixes green"
 }
 
 case "${MODE}" in

@@ -108,15 +108,8 @@ Cache::Cache(const CacheParams& params, EventQueue& eq, MemLevel* next,
                    << numSets_ << " (size " << params_.sizeBytes << "B / "
                    << params_.ways << " ways)");
     if (params_.arbCores > 0) {
-        SL_REQUIRE(params_.arbCores <= params_.mshrs, comp,
-                   "cannot reserve MSHRs for " << params_.arbCores
-                       << " cores out of only " << params_.mshrs);
-        corePortTime_.resize(params_.arbCores, 0);
-        corePortCount_.resize(params_.arbCores, 0);
-        perCorePorts_ = std::max(1u, params_.ports / params_.arbCores);
-        mshrByCore_.resize(params_.arbCores, 0);
-        mshrQuota_ = params_.mshrs / params_.arbCores;
-        quotaWaiters_.resize(params_.arbCores);
+        lanes_.resize(params_.arbCores);
+        lanePorts_ = std::max(1u, params_.ports / params_.arbCores);
     }
     nextCache_ = dynamic_cast<Cache*>(next_);
 }
@@ -151,51 +144,13 @@ Cache::findBlock(Addr addr)
 }
 
 Cycle
-Cache::reservePort(Cycle now)
-{
-    if (now < portTime_)
-        now = portTime_;
-    if (now > portTime_) {
-        portTime_ = now;
-        portCount_ = 0;
-    }
-    if (++portCount_ >= params_.ports) {
-        portTime_ = now + 1;
-        portCount_ = 0;
-    }
-    return now;
-}
-
-unsigned
-Cache::arbIndex(int core) const
-{
-    if (core < 0)
-        return 0;
-    const unsigned c = static_cast<unsigned>(core);
-    return c < params_.arbCores ? c : params_.arbCores - 1;
-}
-
-Cycle
 Cache::reservePortFor(int core, Cycle now)
 {
-    if (params_.arbCores == 0)
-        return reservePort(now);
-    // Same accounting as reservePort, but on the core's private lane: a
-    // storm of retries from one core only pushes that core's port time.
-    const unsigned c = arbIndex(core);
-    Cycle& t = corePortTime_[c];
-    unsigned& n = corePortCount_[c];
-    if (now < t)
-        now = t;
-    if (now > t) {
-        t = now;
-        n = 0;
-    }
-    if (++n >= perCorePorts_) {
-        t = now + 1;
-        n = 0;
-    }
-    return now;
+    if (lanes_.empty())
+        return port_.reserve(now, params_.ports);
+    const unsigned c = core < 0 ? 0 : static_cast<unsigned>(core);
+    return lanes_[std::min<std::size_t>(c, lanes_.size() - 1)].reserve(
+        now, lanePorts_);
 }
 
 unsigned
@@ -260,7 +215,7 @@ Cache::handleAt(MemRequest* req, Cycle start)
     if (b) {
         // ----- hit -----
         if (req->retried)
-            passWakeOn(arbIndex(req->coreId), start);
+            wakeOne(start);
         lru_[static_cast<std::size_t>(b - blocks_.data())] = ++lruTick_;
         if (demand) {
             bool prefetch_hit = false;
@@ -325,7 +280,7 @@ Cache::handleAt(MemRequest* req, Cycle start)
     if (Mshr* m = mshrs_.find(req->addr)) {
         // Merge into the outstanding miss.
         if (req->retried)
-            passWakeOn(arbIndex(req->coreId), start);
+            wakeOne(start);
         if (demand) {
             if (m->prefetchOnly && !m->demandMerged) {
                 m->demandMerged = true;
@@ -344,49 +299,18 @@ Cache::handleAt(MemRequest* req, Cycle start)
         return;
     }
 
-    const bool quota_blocked =
-        params_.arbCores > 0 &&
-        mshrByCore_[arbIndex(req->coreId)] >= mshrQuota_;
-    if (mshrs_.full() || quota_blocked) {
-        // Structural stall: park in FIFO order on the blocking resource's
-        // wakeup list; requestDone wakes it the cycle the resource frees.
-        // Under arbitration a core that exhausted its MSHR reservation
-        // stalls alone while its siblings keep allocating from their own
-        // quotas.
+    if (mshrs_.full()) {
+        // Structural stall: park in FIFO order on the table's wakeup
+        // list; requestDone wakes it the cycle an entry frees.
         ++ctr_.mshrRetries;
-        const bool quota_stall = quota_blocked && !mshrs_.full();
-        const bool was_quota_parked = req->retried && req->parkQuotaStall;
-        if (quota_stall)
-            ++quotaStalls_;
         req->retried = true;
-        req->parkQuotaStall = quota_stall;
-        if (quota_stall) {
-            quotaWaiters_[arbIndex(req->coreId)].push_back(req);
-        } else {
-            mshrFreeWaiters_.push_back(req);
-            if (was_quota_parked) {
-                // This request was woken for a freed quota unit but the
-                // table filled up first: its blocker changed identity.
-                // The quota unit is still free, so migrate the wake down
-                // the lane -- siblings follow the same path until the
-                // lane drains or quota re-fills, leaving no waiter parked
-                // against a free resource.
-                const unsigned lane = arbIndex(req->coreId);
-                if (params_.arbCores > 0 && !quotaWaiters_[lane].empty() &&
-                    mshrByCore_[lane] < mshrQuota_)
-                    wakeOne(quotaWaiters_[lane], start);
-            }
-        }
+        mshrFreeWaiters_.push_back(req);
         return;
     }
 
     Mshr& m = mshrs_.insert(req->addr);
     m.prefetchOnly = !demand;
     m.prefetchOriginHere = !demand && req->origin == this;
-    if (params_.arbCores > 0) {
-        m.allocCore = static_cast<std::int32_t>(arbIndex(req->coreId));
-        ++mshrByCore_[static_cast<unsigned>(m.allocCore)];
-    }
     if (demand || req->client)
         m.waiters.push_back(req);
 
@@ -439,15 +363,6 @@ Cache::requestDone(const MemRequest& req, Cycle now)
     const bool prefetch_only = m->prefetchOnly;
     const bool demand_merged = m->demandMerged;
     const bool origin_here = m->prefetchOriginHere;
-    const std::int32_t alloc_core = m->allocCore;
-    if (params_.arbCores > 0) {
-        const unsigned qc = static_cast<unsigned>(m->allocCore);
-        SL_CHECK_AT(qc < mshrByCore_.size() && mshrByCore_[qc] > 0,
-                    params_.name.c_str(), now,
-                    "MSHR quota accounting underflow for core "
-                        << m->allocCore);
-        --mshrByCore_[qc];
-    }
     // Steal the waiter list into the reusable member (swap keeps both
     // vectors' capacities alive), then free the MSHR before installing:
     // the fill path must see this miss as resolved.
@@ -455,21 +370,12 @@ Cache::requestDone(const MemRequest& req, Cycle now)
     std::swap(fillWaiters_, m->waiters);
     mshrs_.erase(req.addr);
 
-    // This is the only site that frees an MSHR or returns a quota slot,
-    // so it is the only wake point. One fill frees exactly one table slot
-    // and one quota unit (for the allocating core), so exactly one waiter
-    // wakes from each list; order is fixed for determinism: the table
-    // waiter first, then the freed core's quota waiter. Woken requests
-    // run later this same cycle; one that resolves without allocating
-    // hands its wake to the next waiter (passWakeOn), so single wakes
-    // cannot strand a list.
-    if (!mshrFreeWaiters_.empty())
-        wakeOne(mshrFreeWaiters_, now);
-    if (params_.arbCores > 0) {
-        auto& lane = quotaWaiters_[static_cast<unsigned>(alloc_core)];
-        if (!lane.empty())
-            wakeOne(lane, now);
-    }
+    // This is the only site that frees an MSHR, so it is the only wake
+    // point. One fill frees exactly one table slot, so exactly one
+    // waiter wakes. It runs later this same cycle; if it resolves
+    // without allocating it hands the wake to the next waiter, so
+    // single wakes cannot strand the list.
+    wakeOne(now);
 
     bool store = false;
     for (const MemRequest* w : fillWaiters_) {
@@ -503,31 +409,21 @@ Cache::requestDone(const MemRequest& req, Cycle now)
 }
 
 void
-Cache::wakeOne(std::vector<MemRequest*>& list, Cycle now)
+Cache::wakeOne(Cycle now)
 {
-    // Scheduling at `now` is legal mid-drain: the event queue appends to
-    // the bucket being drained, so the woken retry executes later this
-    // same cycle, after the current event -- never reentrantly.
-    MemRequest* w = list.front();
-    list.erase(list.begin());
+    // At most one probe is in flight per free slot, so pass-on chains
+    // stay O(waiters) per freed slot in the worst case and O(1)
+    // typically. Scheduling at `now` is legal mid-drain: the event queue
+    // appends to the bucket being drained, so the woken retry executes
+    // later this same cycle, after the current event -- never
+    // reentrantly.
+    if (mshrFreeWaiters_.empty() || mshrs_.full())
+        return;
+    MemRequest* w = mshrFreeWaiters_.front();
+    mshrFreeWaiters_.erase(mshrFreeWaiters_.begin());
     ++wakeProbes_;
     eq_.schedule(now,
                  EventCallback::make(EventKind::Retry, reqDesc(this, w)));
-}
-
-void
-Cache::passWakeOn(unsigned lane, Cycle now)
-{
-    // The woken request hit (its block was filled while it was parked)
-    // or merged into an existing MSHR; whichever resource it was woken
-    // for is still free, so probe the next candidate. At most one probe
-    // is in flight per free resource, so chains stay O(waiters) per
-    // freed slot in the worst case and O(1) typically.
-    if (!mshrFreeWaiters_.empty() && !mshrs_.full())
-        wakeOne(mshrFreeWaiters_, now);
-    if (params_.arbCores > 0 && !quotaWaiters_[lane].empty() &&
-        mshrByCore_[lane] < mshrQuota_ && !mshrs_.full())
-        wakeOne(quotaWaiters_[lane], now);
 }
 
 unsigned
@@ -794,7 +690,7 @@ Cache::issuePrefetch(Addr addr, PC pc, int core_id, Cycle now)
 Cycle
 Cache::metadataAccess(bool write, Cycle now)
 {
-    const Cycle start = reservePort(now);
+    const Cycle start = port_.reserve(now, params_.ports);
     ++(write ? ctr_.metadataWrites : ctr_.metadataReads);
     return start + params_.latency;
 }
@@ -806,9 +702,9 @@ Cache::metadataBulkTraffic(std::uint64_t blocks, Cycle now)
     // Bulk movement occupies the cache ports for blocks/ports cycles
     // (each block is one read plus one write; charge two accesses).
     const Cycle busy = 2 * blocks / params_.ports;
-    if (portTime_ < now)
-        portTime_ = now;
-    portTime_ += busy;
+    if (port_.time < now)
+        port_.time = now;
+    port_.time += busy;
 }
 
 void
@@ -823,12 +719,12 @@ Cache::audit(Cycle now) const
                     << " MSHRs allocated but " << outstandingDownstream_
                     << " downstream requests in flight (a miss request "
                        "was lost or double-answered)");
-    // A parked request implies its blocking resource is still held OR a
-    // wake probe is in flight toward it: requests only park when the
-    // resource is exhausted, and the sole release site (requestDone)
-    // immediately wakes one waiter per freed unit. A waiter coexisting
-    // with a free resource and zero pending probes is stranded -- a
-    // deadlock the scheduler must never introduce.
+    // A parked request implies the table is still full OR a wake probe
+    // is in flight toward it: requests only park on a full table, and
+    // the sole release site (requestDone) immediately wakes one waiter
+    // per freed slot. A waiter coexisting with a free slot and zero
+    // pending probes is stranded -- a deadlock the scheduler must never
+    // introduce.
     SL_CHECK_AT(mshrFreeWaiters_.empty() || mshrs_.full() ||
                     wakeProbes_ > 0,
                 comp, now,
@@ -839,21 +735,6 @@ Cache::audit(Cycle now) const
     for (const MemRequest* w : mshrFreeWaiters_)
         SL_CHECK_AT(w != nullptr && w->retried, comp, now,
                     "corrupt mshr-free waiter");
-    for (std::size_t c = 0; c < quotaWaiters_.size(); ++c) {
-        // "|| mshrs_.full()": a lane waiter can be sub-quota while the
-        // table is full mid-migration (its woken sibling just moved to
-        // the table list and the cascade wake is pending).
-        SL_CHECK_AT(quotaWaiters_[c].empty() ||
-                        mshrByCore_[c] >= mshrQuota_ || mshrs_.full() ||
-                        wakeProbes_ > 0,
-                    comp, now,
-                    "core " << c << " has parked quota waiters but only "
-                    << mshrByCore_[c] << "/" << mshrQuota_
-                    << " MSHRs charged and no wake in flight");
-        for (const MemRequest* w : quotaWaiters_[c])
-            SL_CHECK_AT(w != nullptr && w->retried && w->parkQuotaStall,
-                        comp, now, "corrupt quota waiter");
-    }
     mshrs_.forEach([&](const Mshr& m) {
         SL_CHECK_AT(m.addr == blockAlign(m.addr), comp, now,
                     "corrupt MSHR key 0x" << std::hex << m.addr
@@ -950,60 +831,29 @@ Cache::serializeState(Serializer& s, const SnapshotCtx& ctx)
     std::uint64_t outstanding = outstandingDownstream_;
     s.io(outstanding);
     outstandingDownstream_ = static_cast<std::size_t>(outstanding);
-    s.io(portTime_);
-    s.io(portCount_);
-    if (params_.arbCores > 0) {
-        s.io(corePortTime_);
-        s.io(corePortCount_);
-        SL_CHECK(corePortTime_.size() == params_.arbCores &&
-                     corePortCount_.size() == params_.arbCores,
-                 comp, "snapshot arbiter lane count does not match this "
-                       "cache's " << params_.arbCores << " cores");
+    std::uint64_t lanes = lanes_.size();
+    s.io(lanes);
+    SL_CHECK(lanes == lanes_.size(), comp,
+             "snapshot port lane count " << lanes << " does not match "
+             "this cache's " << lanes_.size());
+    s.io(port_.time);
+    s.io(port_.count);
+    for (PortCursor& l : lanes_) {
+        s.io(l.time);
+        s.io(l.count);
     }
     mshrs_.serializeState(s, ctx);
-    if (s.loading() && params_.arbCores > 0) {
-        // Quota accounting is derived state: recount from the restored
-        // table instead of trusting (and having to cross-check) a
-        // serialized copy.
-        std::fill(mshrByCore_.begin(), mshrByCore_.end(), 0u);
-        mshrs_.forEach([&](const Mshr& m) {
-            const unsigned qc = static_cast<unsigned>(m.allocCore);
-            SL_CHECK(qc < mshrByCore_.size(), comp,
-                     "restored MSHR charged to core " << m.allocCore
-                         << " but this cache arbitrates "
-                         << params_.arbCores);
-            ++mshrByCore_[qc];
-        });
-    }
-    // Wakeup lists are live state: parked requests exist ONLY here (no
+    // The wakeup list is live state: parked requests exist ONLY here (no
     // Retry event references them), so dropping them would leak the
     // requests and wedge their cores.
     s.marker(0x57414b45, comp);
-    auto ioWaiters = [&](std::vector<MemRequest*>& list) {
-        std::uint64_t n = list.size();
-        s.io(n);
-        if (s.loading()) {
-            list.clear();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                MemRequest* w = nullptr;
-                ctx.ioReq(s, w);
-                list.push_back(w);
-            }
-        } else {
-            for (MemRequest*& w : list)
-                ctx.ioReq(s, w);
-        }
-    };
-    ioWaiters(mshrFreeWaiters_);
-    std::uint64_t lanes = quotaWaiters_.size();
-    s.io(lanes);
-    SL_CHECK(lanes == quotaWaiters_.size(), comp,
-             "snapshot quota-waiter lane count " << lanes
-                 << " does not match this cache's "
-                 << quotaWaiters_.size());
-    for (auto& lane : quotaWaiters_)
-        ioWaiters(lane);
-    // In-flight wake probes ride along with the waiter lists: the event
+    std::uint64_t n = mshrFreeWaiters_.size();
+    s.io(n);
+    if (s.loading())
+        mshrFreeWaiters_.assign(static_cast<std::size_t>(n), nullptr);
+    for (MemRequest*& w : mshrFreeWaiters_)
+        ctx.ioReq(s, w);
+    // In-flight wake probes ride along with the waiter list: the event
     // queue restores their Retry events, and retryNow decrements this
     // on each, so the two must agree or the probe accounting check trips.
     std::uint64_t probes = wakeProbes_;

@@ -104,11 +104,10 @@ struct CacheParams
     unsigned mshrs = 16;
     unsigned ports = 1;      //!< accesses accepted per cycle
 
-    /** Cores sharing this cache through the fair arbiter. 0 (default)
-     *  keeps the shared-port model bit-identical to pre-arbiter builds;
-     *  > 0 splits ports into per-core request ports and reserves
-     *  mshrs / arbCores MSHRs per core so one core's retry storm cannot
-     *  starve its siblings (multi-core LLC only). */
+    /** Cores sharing this cache's ports. 0 (default) keeps one shared
+     *  port pool; > 0 splits ports into per-core request lanes so one
+     *  core's retry storm only pushes its own lane's port time
+     *  (multi-core LLC only). */
     unsigned arbCores = 0;
 };
 
@@ -262,25 +261,47 @@ class Cache : public MemLevel, public RequestClient
         Cycle fillAt = 0;
     };
 
+    /** One port pool's booking cursor: the cycle the next access can
+     *  start and how many accesses that cycle has booked. Exact only
+     *  while bookings arrive in time order (DESIGN.md §13.1). */
+    struct PortCursor
+    {
+        Cycle time = 0;
+        unsigned count = 0;
+
+        /** Book one of @p ports slots at or after @p now; returns the
+         *  cycle the access starts. */
+        Cycle
+        reserve(Cycle now, unsigned ports)
+        {
+            if (now < time)
+                now = time;
+            if (now > time) {
+                time = now;
+                count = 0;
+            }
+            if (++count >= ports) {
+                time = now + 1;
+                count = 0;
+            }
+            return now;
+        }
+    };
+
     std::uint32_t setIndex(Addr addr) const;
     Block* findBlock(Addr addr);
-    Cycle reservePort(Cycle now);
-    /** Arbitrated port reservation: @p core's private request port when
-     *  arbCores > 0, else exactly reservePort(). */
+    /** Book a request port: @p core's lane when arbCores > 0 (clamped
+     *  to [0, arbCores)), else the shared pool. */
     Cycle reservePortFor(int core, Cycle now);
-    /** @p core clamped to a valid arbiter index ([0, arbCores)). */
-    unsigned arbIndex(int core) const;
     void handleAt(MemRequest* req, Cycle start);
-    /** Pop the oldest waiter off @p list and schedule its wake probe
-     *  at @p now. One waiter per freed resource -- waking the whole list
-     *  would send N-1 requests through a full handleAt re-probe just to
-     *  re-park them (a thundering herd). */
-    void wakeOne(std::vector<MemRequest*>& list, Cycle now);
-    /** Called when a woken request resolved as a hit or an MSHR merge --
-     *  it consumed neither the table slot nor the quota unit it was woken
-     *  for, so the wake must pass to the next waiter or the freed
-     *  resource would strand the list. */
-    void passWakeOn(unsigned lane, Cycle now);
+    /** When a request is parked and the MSHR table has a free slot,
+     *  pop the oldest waiter and schedule its wake probe at @p now. One
+     *  waiter per freed slot -- waking the whole list would send N-1
+     *  requests through a full handleAt re-probe just to re-park them
+     *  (a thundering herd). requestDone calls it after freeing a slot;
+     *  a woken request that resolves as a hit or an MSHR merge calls it
+     *  again, since it left its slot free for the next waiter. */
+    void wakeOne(Cycle now);
     void installFill(Addr addr, bool prefetched, bool origin_here,
                      bool store, std::int32_t core, Cycle now);
     /** Victim scan over the packed tag/LRU side arrays: first invalid
@@ -347,7 +368,7 @@ class Cache : public MemLevel, public RequestClient
      *  capacity is reused across every requestDone call. */
     std::vector<MemRequest*> fillWaiters_;
 
-    // ---- structural-stall wakeup lists (DESIGN.md §13.1) ----
+    // ---- structural-stall wakeup list (DESIGN.md §13.1) ----
     /** Requests parked on a full MSHR table, in arrival (FIFO) order.
      *  requestDone is the only site that frees an MSHR -- and every fill
      *  and eviction happens there too -- so popping this list there
@@ -355,30 +376,19 @@ class Cache : public MemLevel, public RequestClient
      *  request implies the table is full, which implies downstream fills
      *  are outstanding, which guarantees a future wake. */
     std::vector<MemRequest*> mshrFreeWaiters_;
-    /** Per-core quota-return lists (sized arbCores): requests parked
-     *  because their core exhausted its MSHR reservation wake when a
-     *  fill returns a quota slot to that core. */
-    std::vector<std::vector<MemRequest*>> quotaWaiters_;
     /** Wake probes scheduled but not yet executed (every Retry event is
      *  one). Lets the auditor tell a stranded waiter (a bug) from one
-     *  whose wake is simply pending a port slot: a free resource with
+     *  whose wake is simply pending a port slot: a free table slot with
      *  parked waiters is legal only while a probe is in flight. */
     std::size_t wakeProbes_ = 0;
 
-    Cycle portTime_ = 0;
-    unsigned portCount_ = 0;
-
-    // ---- fair-arbiter state (sized only when params_.arbCores > 0) ----
-    /** Per-core request-port accounting (mirrors portTime_/portCount_
-     *  but one lane per core; metadata traffic stays on the shared
-     *  portTime_ pool — it models the partition's own port). */
-    std::vector<Cycle> corePortTime_;
-    std::vector<unsigned> corePortCount_;
-    unsigned perCorePorts_ = 0;
-    /** Live MSHR allocations charged to each core (quota accounting;
-     *  rebuilt from the table on snapshot load). */
-    std::vector<std::uint32_t> mshrByCore_;
-    unsigned mshrQuota_ = 0;
+    /** Shared port pool: every request when arbCores == 0, and always
+     *  the metadata traffic (it models the partition's own port). */
+    PortCursor port_;
+    /** Per-core request lanes (arbCores of them, else empty), each
+     *  with lanePorts_ slots per cycle. */
+    std::vector<PortCursor> lanes_;
+    unsigned lanePorts_ = 0;
 
     StatGroup stats_;
 
@@ -425,11 +435,6 @@ class Cache : public MemLevel, public RequestClient
         Counter& metadataWrites;
     };
     HotCounters ctr_{stats_};
-
-    /** Lazily registered (fires only on arbitrated caches) so snapshot
-     *  counter maps stay identical to the per-site counter() lookups it
-     *  replaces; see HotCounter's contract in common/stats.hh. */
-    HotCounter quotaStalls_{stats_, "mshr_quota_stalls"};
 };
 
 } // namespace sl

@@ -36,9 +36,6 @@ struct Mshr
     bool demandMerged = false;
     bool prefetchOnly = true;
     bool prefetchOriginHere = false;
-    /** Core whose request allocated this entry (arbitrated shared caches
-     *  charge it against that core's reservation quota until the fill). */
-    std::int32_t allocCore = 0;
     std::vector<MemRequest*> waiters;
 };
 
@@ -107,7 +104,6 @@ class MshrTable
         m.demandMerged = false;
         m.prefetchOnly = true;
         m.prefetchOriginHere = false;
-        m.allocCore = 0;
         m.waiters.clear(); // keep the grown capacity
         return m;
     }
@@ -184,7 +180,6 @@ class MshrTable
                 s.io(m.demandMerged);
                 s.io(m.prefetchOnly);
                 s.io(m.prefetchOriginHere);
-                s.io(m.allocCore);
                 std::uint64_t w = m.waiters.size();
                 s.io(w);
                 for (MemRequest* req : m.waiters)
@@ -198,7 +193,6 @@ class MshrTable
                 s.io(m.demandMerged);
                 s.io(m.prefetchOnly);
                 s.io(m.prefetchOriginHere);
-                s.io(m.allocCore);
                 std::uint64_t w = 0;
                 s.io(w);
                 for (std::uint64_t k = 0; k < w; ++k) {

@@ -35,9 +35,7 @@ enum class ReqKind : std::uint8_t
     DemandLoad,   //!< core load
     DemandStore,  //!< core store (write-allocate)
     Prefetch,     //!< prefetcher fill request
-    Writeback,    //!< dirty eviction flowing downward
-    MetadataRead, //!< temporal-prefetcher metadata read (LLC only)
-    MetadataWrite //!< temporal-prefetcher metadata write (LLC only)
+    Writeback     //!< dirty eviction flowing downward
 };
 
 /**
@@ -60,10 +58,6 @@ struct MemRequest
      *  requestDone just records the data-ready cycle, so delivery order
      *  within a cycle cannot matter. */
     bool directRespond = false;
-    /** The structural stall that parked this request was an MSHR quota
-     *  stall (arbitrated LLC), so it waits on its core's quota-return
-     *  list rather than the table-full list. */
-    bool parkQuotaStall = false;
     /** Cache level that originated a prefetch (for usefulness stats:
      *  only the originating level counts issued/useful/redundant). */
     const void* origin = nullptr;
@@ -78,13 +72,6 @@ struct MemRequest
     isDemand() const
     {
         return kind == ReqKind::DemandLoad || kind == ReqKind::DemandStore;
-    }
-
-    bool
-    isMetadata() const
-    {
-        return kind == ReqKind::MetadataRead ||
-               kind == ReqKind::MetadataWrite;
     }
 };
 

@@ -7,9 +7,9 @@
 namespace sl
 {
 
-Core::Core(int id, const CoreParams& params, EventQueue& eq, Cache* l1d,
-           TracePtr trace, RequestPool* pool)
-    : id_(id), params_(params), eq_(eq), l1d_(l1d),
+Core::Core(int id, const CoreParams& params, Cache* l1d, TracePtr trace,
+           RequestPool* pool)
+    : id_(id), params_(params), l1d_(l1d),
       trace_(std::move(trace)),
       ownPool_(pool ? nullptr : std::make_unique<RequestPool>()),
       pool_(pool ? pool : ownPool_.get()), rob_(params.robSize),

@@ -66,8 +66,8 @@ class Core : public RequestClient
      * @param pool request arena shared across the hierarchy (the System
      *        passes its own); null makes the core carve a private one
      */
-    Core(int id, const CoreParams& params, EventQueue& eq, Cache* l1d,
-         TracePtr trace, RequestPool* pool = nullptr);
+    Core(int id, const CoreParams& params, Cache* l1d, TracePtr trace,
+         RequestPool* pool = nullptr);
 
     Core(const Core&) = delete;
     Core& operator=(const Core&) = delete;
@@ -93,9 +93,6 @@ class Core : public RequestClient
 
     /** Total instructions retired since construction (watchdog probe). */
     std::uint64_t retiredInstructions() const { return instrRetired_; }
-
-    /** Occupied ROB entries (diagnostic snapshots). */
-    std::size_t robOccupancy() const { return robCount_; }
 
     /**
      * One-line description of the ROB head for watchdog snapshots:
@@ -201,7 +198,6 @@ class Core : public RequestClient
 
     int id_;
     CoreParams params_;
-    EventQueue& eq_;
     Cache* l1d_;
     TracePtr trace_;
     Telemetry* tele_ = nullptr;

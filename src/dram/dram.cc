@@ -28,13 +28,19 @@ dramTick(void* buf, Cycle now)
 void
 DramParams::validate() const
 {
-    SL_REQUIRE(channels > 0, "dram_params", "need at least one channel");
-    SL_REQUIRE(ranksPerChannel > 0, "dram_params",
-               "need at least one rank per channel");
-    SL_REQUIRE(banksPerRank > 0, "dram_params",
-               "need at least one bank per rank");
-    SL_REQUIRE(rowsPerBank > 0, "dram_params",
-               "need at least one row per bank");
+    SL_REQUIRE(std::has_single_bit(channels), "dram_params",
+               "channel count " << channels
+                                << " is not a nonzero power of two");
+    SL_REQUIRE(std::has_single_bit(std::uint64_t{ranksPerChannel} *
+                                   banksPerRank),
+               "dram_params",
+               "banks per channel (" << ranksPerChannel << " ranks x "
+                                     << banksPerRank
+                                     << " banks) is not a nonzero power "
+                                        "of two");
+    SL_REQUIRE(std::has_single_bit(rowsPerBank), "dram_params",
+               "rows per bank " << rowsPerBank
+                                << " is not a nonzero power of two");
     SL_REQUIRE(transferMTs > 0, "dram_params",
                "transfer rate must be nonzero");
     SL_REQUIRE(busBytes > 0 && busBytes <= kBlockBytes, "dram_params",
@@ -75,22 +81,16 @@ Dram::Dram(const DramParams& params, EventQueue& eq)
     burstCycles_ = std::max<Cycle>(
         1, static_cast<Cycle>(std::ceil(seconds * params_.coreGHz * 1e9)));
 
-    auto pow2 = [](std::uint64_t v) { return (v & (v - 1)) == 0; };
-    if (pow2(params_.channels) && pow2(banksPerChannel_) &&
-        pow2(params_.rowsPerBank)) {
-        pow2Decode_ = true;
-        chShift_ = static_cast<unsigned>(
-            std::countr_zero(std::uint64_t{params_.channels}));
-        chMask_ = params_.channels - 1;
-        bankShift_ = static_cast<unsigned>(
-            std::countr_zero(std::uint64_t{banksPerChannel_}));
-        bankMask_ = banksPerChannel_ - 1;
-        rowMask_ = params_.rowsPerBank - 1;
-    }
+    chShift_ = static_cast<unsigned>(
+        std::countr_zero(std::uint64_t{params_.channels}));
+    chMask_ = params_.channels - 1;
+    bankShift_ = static_cast<unsigned>(
+        std::countr_zero(std::uint64_t{banksPerChannel_}));
+    bankMask_ = banksPerChannel_ - 1;
+    rowMask_ = params_.rowsPerBank - 1;
 
     if (params_.scheduled()) {
         channels_.resize(params_.channels);
-        inFlight_.resize(params_.requestors, 0);
         firstIdx_.resize(params_.requestors);
         firstHitIdx_.resize(params_.requestors);
         coreBytes_.reserve(params_.requestors);
@@ -122,29 +122,15 @@ Dram::decode(Addr addr) const
     // Address map: blocks interleave across channels; within a channel,
     // 8KB rows (128 blocks) interleave across banks, so streams enjoy
     // row locality while spreading over banks every row.
-    constexpr std::uint64_t kBlocksPerRow = 128;
     constexpr unsigned kBlocksPerRowShift = 7;
     const std::uint64_t block = blockNumber(addr);
     Decoded d;
-    if (pow2Decode_) {
-        // Exact shift/mask form of the divide path below (all factors
-        // are powers of two); this runs on every access, and three
-        // 64-bit divides per decode show up in the DRAM-bound cells.
-        d.channel = static_cast<unsigned>(block & chMask_);
-        const std::uint64_t in_channel = block >> chShift_;
-        d.bank = static_cast<std::uint32_t>(
-            (in_channel >> kBlocksPerRowShift) & bankMask_);
-        d.row = static_cast<std::uint32_t>(
-            (in_channel >> (kBlocksPerRowShift + bankShift_)) & rowMask_);
-        return d;
-    }
-    d.channel = static_cast<unsigned>(block % params_.channels);
-    const std::uint64_t in_channel = block / params_.channels;
+    d.channel = static_cast<unsigned>(block & chMask_);
+    const std::uint64_t in_channel = block >> chShift_;
     d.bank = static_cast<std::uint32_t>(
-        (in_channel / kBlocksPerRow) % banksPerChannel_);
+        (in_channel >> kBlocksPerRowShift) & bankMask_);
     d.row = static_cast<std::uint32_t>(
-        (in_channel / kBlocksPerRow / banksPerChannel_) %
-        params_.rowsPerBank);
+        (in_channel >> (kBlocksPerRowShift + bankShift_)) & rowMask_);
     return d;
 }
 
@@ -263,7 +249,6 @@ Dram::enqueueScheduled(MemRequest* req, Cycle now)
     if (req->kind == ReqKind::Writeback) {
         ++writesCtr_;
         c.writeQ.push_back(e);
-        ++queuedWrites_;
         notePeak("write_q_peak", c.writeQ.size());
     } else {
         ++readsCtr_;
@@ -273,7 +258,6 @@ Dram::enqueueScheduled(MemRequest* req, Cycle now)
             ++prefetchReadsCtr_;
         c.readQ.push_back(e);
         ++queuedReads_;
-        ++inFlight_[e.core];
         if (e.demand)
             ++c.demandQueued;
         notePeak("read_q_peak", c.readQ.size());
@@ -377,11 +361,8 @@ Dram::tickChannel(unsigned ch, Cycle now)
     d.row = e.row;
     const Cycle done = serviceTiming(d, now);
 
-    if (e.req->kind == ReqKind::Writeback) {
-        --queuedWrites_;
-    } else {
+    if (e.req->kind != ReqKind::Writeback) {
         --queuedReads_;
-        --inFlight_[e.core];
         if (e.demand)
             --c.demandQueued;
         readQWaitCtr_ += now - e.arrival;
@@ -456,13 +437,9 @@ Dram::serializeState(Serializer& s, const SnapshotCtx& ctx)
         }
     }
     if (!channels_.empty()) {
-        s.io(inFlight_);
         std::uint64_t qr = queuedReads_;
-        std::uint64_t qw = queuedWrites_;
         s.io(qr);
-        s.io(qw);
         queuedReads_ = static_cast<std::size_t>(qr);
-        queuedWrites_ = static_cast<std::size_t>(qw);
     }
     stats_.serializeState(s);
 }

@@ -16,10 +16,10 @@
  *  - Scheduled (DramParams::requestors > 1): arrivals park in per-channel
  *    read/write queues and a per-channel FR-FCFS-with-priorities
  *    scheduler picks the next request each time the channel bus frees:
- *    demand reads beat prefetch reads, cores take round-robin turns
- *    (per-requestor in-flight accounting backs the rotation and the
- *    fairness stats), row-buffer hits go first within a core's turn, and
- *    writes drain in batches between read bursts (high/low watermark).
+ *    demand reads beat prefetch reads, cores take round-robin turns (a
+ *    per-channel cursor), row-buffer hits go first within a core's turn,
+ *    and writes drain in batches between read bursts (high/low
+ *    watermark).
  */
 
 #ifndef SL_DRAM_DRAM_HH
@@ -71,7 +71,9 @@ struct DramParams
 
     bool scheduled() const { return requestors > 1; }
 
-    /** Reject nonsensical DRAM geometry/timing before a run starts. */
+    /** Reject nonsensical DRAM geometry/timing before a run starts.
+     *  Channels, banks per channel and rows per bank must be powers of
+     *  two: the address decode is shift/mask only. */
     void validate() const;
 };
 
@@ -113,9 +115,6 @@ class Dram : public MemLevel
      *  Always zero in unscheduled mode; the MemPressure signal divides
      *  this by channels() to get a per-channel congestion estimate. */
     std::size_t queuedReads() const { return queuedReads_; }
-
-    /** Queued write(back)s across all channels (scheduled mode). */
-    std::size_t queuedWrites() const { return queuedWrites_; }
 
     /** Service one scheduling step on @p ch (EventKind::DramTick
      *  target): pick the best queued request, commit its bank/bus
@@ -193,12 +192,8 @@ class Dram : public MemLevel
     std::vector<Cycle> busFreeAt_;
     unsigned banksPerChannel_ = 0;
     Cycle tCas_, tRcd_, tRp_, burstCycles_, controllerCycles_;
-    /** Shift/mask decode fast path, valid when channels, banks/channel,
-     *  and rows/bank are all powers of two (every stock configuration).
-     *  For unsigned values, x % 2^k == x & (2^k - 1) and x / 2^k ==
-     *  x >> k exactly, so the fast path is bit-identical to the divide
-     *  path it replaces. */
-    bool pow2Decode_ = false;
+    /** Address decode shifts and masks (validate() requires every
+     *  decoded field's extent to be a power of two). */
     unsigned chShift_ = 0;
     std::uint64_t chMask_ = 0;
     unsigned bankShift_ = 0;
@@ -208,16 +203,12 @@ class Dram : public MemLevel
 
     // ---- scheduler state (sized only when params_.scheduled()) ----
     std::vector<Channel> channels_;
-    /** Per-requestor queued-request counts (in-flight accounting: the
-     *  fairness rotation and the MemPressure probe both read these). */
-    std::vector<std::uint32_t> inFlight_;
     /** Per-core {oldest, oldest-row-hit} read-queue candidates, filled
      *  by one pass over the queue per scheduling tick (scratch; sized
      *  to requestors in scheduled mode, never serialized). */
     std::vector<std::uint32_t> firstIdx_;
     std::vector<std::uint32_t> firstHitIdx_;
     std::size_t queuedReads_ = 0;
-    std::size_t queuedWrites_ = 0;
     /** Per-requestor serviced-byte counters, registered eagerly at
      *  construction in scheduled mode ("core<i>_bytes"). */
     std::vector<Counter*> coreBytes_;

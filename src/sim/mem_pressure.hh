@@ -39,27 +39,24 @@
 namespace sl
 {
 
-/** Tunables for the pressure thresholds (defaults fit the Table II
- *  machine; exposed mainly so tests can force levels). */
-struct MemPressureParams
-{
-    /** Queued DRAM reads per channel at/above which pressure is
-     *  elevated / saturated. */
-    unsigned readQElevated = 2;
-    unsigned readQSaturated = 6;
-
-    /** LLC MSHR occupancy fraction (percent) at/above which pressure is
-     *  elevated / saturated. */
-    unsigned mshrPctElevated = 50;
-    unsigned mshrPctSaturated = 75;
-};
-
 class MemPressure : public PressureSignal
 {
   public:
-    MemPressure(const Dram& dram, const Cache& llc,
-                const MemPressureParams& params = {})
-        : dram_(dram), llc_(llc), params_(params), stats_("mem_pressure")
+    /** Queued DRAM reads per channel at/above which pressure is
+     *  elevated / saturated (fit to the Table II machine). */
+    static constexpr unsigned kReadQElevated = 2;
+    static constexpr unsigned kReadQSaturated = 6;
+
+    /** LLC MSHR occupancy (percent) at/above which pressure is elevated
+     *  / saturated. Each LLC miss holds one of its core's L2 MSHRs, so
+     *  occupancy never exceeds l2Mshrs / llcMshrsPerCore (50% on the
+     *  default machine): the saturated term cannot fire there, and the
+     *  elevated one only once every L2 table is full. */
+    static constexpr unsigned kMshrPctElevated = 50;
+    static constexpr unsigned kMshrPctSaturated = 75;
+
+    MemPressure(const Dram& dram, const Cache& llc)
+        : dram_(dram), llc_(llc), stats_("mem_pressure")
     {
     }
 
@@ -71,11 +68,9 @@ class MemPressure : public PressureSignal
             dram_.queuedReads() / dram_.channels();
         const std::size_t mshrPct =
             llc_.mshrCount() * 100 / llc_.mshrLimit();
-        if (perChannel >= params_.readQSaturated ||
-            mshrPct >= params_.mshrPctSaturated)
+        if (perChannel >= kReadQSaturated || mshrPct >= kMshrPctSaturated)
             return 2;
-        if (perChannel >= params_.readQElevated ||
-            mshrPct >= params_.mshrPctElevated)
+        if (perChannel >= kReadQElevated || mshrPct >= kMshrPctElevated)
             return 1;
         return 0;
     }
@@ -119,7 +114,6 @@ class MemPressure : public PressureSignal
   private:
     const Dram& dram_;
     const Cache& llc_;
-    MemPressureParams params_;
     std::uint64_t coin_ = 0;
     StatGroup stats_;
     HotCounter admittedCtr_{stats_, "admitted"};

@@ -287,7 +287,6 @@ runWorkloadsRaw(const RunConfig& cfg,
         res.pfDroppedPressure +=
             sys.l2(c).stats().get("prefetch_dropped_pressure");
     }
-    res.llcQuotaStalls = llc.get("mshr_quota_stalls");
     res.dramReadQueueWait = dram.get("read_q_wait_cycles");
     res.dramDemandReads = dram.get("sched_demand_reads");
     res.dramPrefetchReads = dram.get("sched_prefetch_reads");
@@ -918,7 +917,6 @@ runnerMain(int argc, char** argv)
         if (cfg.cores > 1) {
             std::cout << "shared-memory: pf_dropped="
                       << res.pfDroppedPressure
-                      << " quota_stalls=" << res.llcQuotaStalls
                       << " read_q_wait=" << res.dramReadQueueWait
                       << " demand_reads=" << res.dramDemandReads
                       << " prefetch_reads=" << res.dramPrefetchReads;

@@ -89,8 +89,6 @@ struct RunResult
     // runs, whose DRAM scheduler / LLC arbiter / pressure probe are off).
     /** Prefetches shed by MemPressure before issue (every cache). */
     std::uint64_t pfDroppedPressure = 0;
-    /** LLC retries caused by a core exhausting its MSHR quota. */
-    std::uint64_t llcQuotaStalls = 0;
     /** Cycles read requests spent queued in the DRAM scheduler. */
     std::uint64_t dramReadQueueWait = 0;
     /** DRAM reads serviced under demand / prefetch class priority. */
@@ -133,15 +131,6 @@ struct RunResult
         double s = 0;
         for (const auto& c : cores)
             s += c.coverage();
-        return cores.empty() ? 0 : s / cores.size();
-    }
-
-    double
-    meanAccuracy() const
-    {
-        double s = 0;
-        for (const auto& c : cores)
-            s += c.accuracy();
         return cores.empty() ? 0 : s / cores.size();
     }
 };

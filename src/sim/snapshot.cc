@@ -198,7 +198,6 @@ System::serializeState(Serializer& s, const SnapshotCtx& ctx)
         s.io(r->tag);
         s.io(r->retried);
         s.io(r->directRespond);
-        s.io(r->parkQuotaStall);
         ctx.ioComp(s, r->origin);
     }
 

@@ -36,9 +36,10 @@ namespace sl
 class System;
 
 /** On-disk snapshot format version; bump on any payload layout change.
- *  v5: one stall scheduler -- the request record drops its poll
- *  generation and caches no longer carry a blocking-state generation. */
-constexpr std::uint32_t kSnapshotVersion = 5;
+ *  v6: no LLC MSHR quota -- MSHR and request records drop their quota
+ *  fields, each cache keeps one waiter list, and DRAM drops its
+ *  per-core in-flight and queued-write counts. */
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 /**
  * Serialize the full dynamic state of @p sys, paused between cycles at

@@ -84,6 +84,14 @@ SystemConfig::validate() const
     // itself produce a power-of-two total set count.
     validateCacheLevel("llc_config", llcBytesPerCore * cores, llcWays,
                        llcLatency, llcMshrsPerCore * cores, cores);
+    // Every LLC miss holds one of its core's L2 MSHRs until it returns,
+    // so this bound keeps each core within its llcMshrsPerCore share of
+    // the shared table without a per-core quota (DESIGN.md §12).
+    SL_REQUIRE(l2Mshrs <= llcMshrsPerCore, "system_config",
+               "l2Mshrs (" << l2Mshrs << ") exceeds llcMshrsPerCore ("
+                           << llcMshrsPerCore
+                           << "): one core could fill more than its "
+                              "share of the LLC MSHRs");
     SL_REQUIRE(dramMTs > 0, "system_config",
                "DRAM transfer rate must be nonzero");
     faults.validate();
@@ -116,8 +124,7 @@ System::System(const SystemConfig& cfg, std::vector<TracePtr> traces)
     llc_params.latency = cfg.llcLatency;
     llc_params.mshrs = cfg.llcMshrsPerCore * cfg.cores;
     llc_params.ports = cfg.cores; // banked: one access/cycle per core slice
-    // Multi-core: the banked ports become per-core arbitrated lanes and
-    // each core gets an llcMshrsPerCore reservation quota.
+    // Multi-core: the banked ports become per-core request lanes.
     llc_params.arbCores = cfg.cores > 1 ? cfg.cores : 0;
     llc_ = std::make_unique<Cache>(llc_params, eq_, dram_.get(), &pool_);
     llc_->setFaultInjector(faults_.get());
@@ -157,8 +164,8 @@ System::System(const SystemConfig& cfg, std::vector<TracePtr> traces)
         l1ds_.back()->setPressure(pressure_.get());
 
         cores_.push_back(std::make_unique<Core>(
-            static_cast<int>(c), cfg.core, eq_, l1ds_.back().get(),
-            traces[c], &pool_));
+            static_cast<int>(c), cfg.core, l1ds_.back().get(), traces[c],
+            &pool_));
         cores_.back()->setTelemetry(telemetry_.get());
 
         if (cfg.l1dPrefetcher) {

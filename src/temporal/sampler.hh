@@ -36,8 +36,7 @@ class LruStackSampler
      */
     LruStackSampler(std::uint32_t sampled_sets, std::uint32_t total_sets,
                     unsigned max_depth)
-        : sampledSets_(sampled_sets), totalSets_(total_sets),
-          stride_(total_sets / sampled_sets),
+        : sampledSets_(sampled_sets), stride_(total_sets / sampled_sets),
           stridePow2_(stride_ != 0 && (stride_ & (stride_ - 1)) == 0),
           strideMask_(stride_ - 1), maxDepth_(max_depth),
           stacks_(sampled_sets), histogram_(max_depth + 1, 0)
@@ -133,7 +132,6 @@ class LruStackSampler
 
   private:
     std::uint32_t sampledSets_;
-    std::uint32_t totalSets_;
     std::uint32_t stride_;  //!< totalSets / sampledSets, computed once
     bool stridePow2_;
     std::uint32_t strideMask_;

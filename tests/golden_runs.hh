@@ -8,11 +8,12 @@
  * does any change to wake order or wake pass-on in the stall scheduler,
  * or to the event order of the cache-to-cache hops (DESIGN.md §13.1).
  *
- * Several suites pin these same runs from the layer each one guards
- * (metadata fast path, request pool, stall scheduler); they all read
- * this table so the values live in one place. Re-pinning it changes
- * what the simulator computes: bump kResultsVersion (sim/batch.hh) in
- * the same change.
+ * GoldenRuns.MatchPinnedDigests (test_system.cc) runs every row, which
+ * pins the metadata stores, the request pool and the stall scheduler
+ * end to end; Determinism.BackToBackRunsAreBitIdentical (test_pool.cc)
+ * reuses the Streamline cells. Re-pinning this table changes what the
+ * simulator computes: bump kResultsVersion (sim/batch.hh) in the same
+ * change.
  */
 
 #ifndef SL_TESTS_GOLDEN_RUNS_HH

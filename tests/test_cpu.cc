@@ -64,7 +64,7 @@ TEST_F(CpuFixture, RetiresEverything)
     for (unsigned i = 0; i < 200; ++i)
         acc.emplace_back(1, 0x1000 + (i % 8) * kBlockBytes);
     auto trace = makeTrace(acc);
-    Core core(0, CoreParams{}, eq, l1.get(), trace);
+    Core core(0, CoreParams{}, l1.get(), trace);
     runCore(core, eq);
     EXPECT_TRUE(core.done());
     EXPECT_EQ(core.evalInstructions(), trace->instructionCount());
@@ -79,7 +79,7 @@ TEST_F(CpuFixture, CacheHitsGiveHigherIpcThanMisses)
         hot.emplace_back(1, 0x1000);
         cold.emplace_back(1, 0x100000 + i * 0x1000);
     }
-    Core hot_core(0, CoreParams{}, eq, l1.get(), makeTrace(hot));
+    Core hot_core(0, CoreParams{}, l1.get(), makeTrace(hot));
     runCore(hot_core, eq);
 
     CacheParams p;
@@ -90,7 +90,7 @@ TEST_F(CpuFixture, CacheHitsGiveHigherIpcThanMisses)
     p.mshrs = 8;
     p.ports = 2;
     Cache l1b(p, eq, &mem);
-    Core cold_core(1, CoreParams{}, eq, &l1b, makeTrace(cold));
+    Core cold_core(1, CoreParams{}, &l1b, makeTrace(cold));
     runCore(cold_core, eq);
 
     EXPECT_GT(hot_core.ipc(), cold_core.ipc() * 1.5);
@@ -123,8 +123,8 @@ TEST_F(CpuFixture, DependentLoadsSerialise)
     p.mshrs = 8;
     p.ports = 2;
     Cache ca(p, eq, &mem), cb(p, eq, &mem);
-    Core core_i(0, CoreParams{}, eq, &ca, indep);
-    Core core_d(1, CoreParams{}, eq, &cb, dep);
+    Core core_i(0, CoreParams{}, &ca, indep);
+    Core core_d(1, CoreParams{}, &cb, dep);
     runCore(core_i, eq);
     runCore(core_d, eq);
     EXPECT_GT(core_i.ipc(), core_d.ipc() * 2.0);
@@ -137,7 +137,7 @@ TEST_F(CpuFixture, WarmupSplitsMeasurement)
         acc.emplace_back(1, 0x1000 + (i % 4) * kBlockBytes);
     auto trace = makeTrace(acc, 2, 0.25);
     ASSERT_EQ(trace->warmupRecords, 100u);
-    Core core(0, CoreParams{}, eq, l1.get(), trace);
+    Core core(0, CoreParams{}, l1.get(), trace);
     runCore(core, eq);
     EXPECT_LT(core.evalInstructions(), trace->instructionCount());
     EXPECT_GT(core.evalCycles(), 0u);
@@ -146,7 +146,7 @@ TEST_F(CpuFixture, WarmupSplitsMeasurement)
 TEST_F(CpuFixture, AddressOffsetSeparatesCores)
 {
     auto trace = makeTrace({{1, 0x1000}});
-    Core c1(1, CoreParams{}, eq, l1.get(), trace);
+    Core c1(1, CoreParams{}, l1.get(), trace);
     runCore(c1, eq);
     ASSERT_FALSE(mem.requests.empty());
     EXPECT_EQ(mem.requests.back().addr, (Addr{1} << 44) + 0x1000);
@@ -159,7 +159,7 @@ TEST_F(CpuFixture, StoresRetireThroughStoreBuffer)
     for (unsigned i = 0; i < 100; ++i)
         rec.store(1, 0x700000 + i * 0x1000, 1);
     t->records = rec.take();
-    Core core(0, CoreParams{}, eq, l1.get(), t);
+    Core core(0, CoreParams{}, l1.get(), t);
     runCore(core, eq);
     // Stores never stall retirement on memory: IPC near width-limited.
     EXPECT_GT(core.ipc(), 2.0);

@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the DRAM timing model: row-buffer states, channel mapping,
- * bandwidth scaling, and write handling.
+ * bandwidth scaling, write handling, and the FR-FCFS scheduler's pick
+ * rules (requestors > 1).
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "dram/dram.hh"
 #include "test_util.hh"
@@ -139,6 +142,145 @@ TEST_F(DramFixture, ControllerLatencyAdds)
     ASSERT_EQ(c1.completions.size(), 1u);
     ASSERT_EQ(c2.completions.size(), 1u);
     EXPECT_EQ(c2.completions[0].second - c1.completions[0].second, 120u);
+}
+
+// ---------- FR-FCFS scheduler (requestors > 1) ----------
+
+/**
+ * One channel of 8 banks under the scheduler. Every scenario first
+ * services a read X at cycle 0, so the requests queued after it wait
+ * for the bus together and the next tick sees all of them. Writebacks
+ * carry a client here only so their service order is observable; the
+ * channel bus serialises bursts, so completion order is pick order.
+ */
+struct DramSchedFixture : ::testing::Test
+{
+    DramSchedFixture()
+    {
+        params.channels = 1;
+        params.ranksPerChannel = 1;
+        params.controllerNs = 0.0;
+        params.requestors = 2;
+    }
+
+    /** Column @p col of @p row in channel-local @p bank (128-block rows
+     *  interleave across the 8 banks). */
+    static Addr
+    at(unsigned bank, unsigned row, unsigned col = 0)
+    {
+        return ((Addr{row} * 8 + bank) * 128 + col) * kBlockBytes;
+    }
+
+    void
+    issue(Dram& dram, Addr addr, ReqKind kind, int core, Cycle now)
+    {
+        auto* r = new MemRequest;
+        r->addr = addr;
+        r->kind = kind;
+        r->coreId = core;
+        r->client = &client;
+        dram.access(r, now);
+    }
+
+    /** Service X (core 0, bank 0, row 0) alone at cycle 0. */
+    void
+    occupyBus(Dram& dram)
+    {
+        issue(dram, at(0, 0), ReqKind::DemandLoad, 0, 0);
+        eq.runUntil(0);
+    }
+
+    std::vector<Addr>
+    order() const
+    {
+        std::vector<Addr> out;
+        for (const auto& [addr, cycle] : client.completions)
+            out.push_back(addr);
+        return out;
+    }
+
+    EventQueue eq;
+    DramParams params;
+    RecordingClient client;
+};
+
+TEST_F(DramSchedFixture, DemandReadBeatsOlderPrefetch)
+{
+    Dram dram(params, eq);
+    occupyBus(dram);
+    const Addr pf = at(1, 0), demand = at(2, 0);
+    issue(dram, pf, ReqKind::Prefetch, 0, 1);
+    issue(dram, demand, ReqKind::DemandLoad, 0, 2);
+    drain(eq);
+    EXPECT_EQ(order(), (std::vector<Addr>{at(0, 0), demand, pf}));
+    EXPECT_EQ(dram.stats().get("sched_demand_reads"), 2u);
+    EXPECT_EQ(dram.stats().get("sched_prefetch_reads"), 1u);
+}
+
+TEST_F(DramSchedFixture, RowHitBeatsOlderRowMissWithinACoresTurn)
+{
+    Dram dram(params, eq);
+    occupyBus(dram); // opens bank 0, row 0
+    const Addr miss = at(1, 0), hit = at(0, 0, 1);
+    issue(dram, miss, ReqKind::DemandLoad, 0, 1);
+    issue(dram, hit, ReqKind::DemandLoad, 0, 2);
+    drain(eq);
+    EXPECT_EQ(order(), (std::vector<Addr>{at(0, 0), hit, miss}));
+    EXPECT_EQ(dram.stats().get("row_hits"), 1u);
+}
+
+TEST_F(DramSchedFixture, CoresTakeRoundRobinTurns)
+{
+    Dram dram(params, eq);
+    occupyBus(dram); // core 0 served: core 1's turn is next
+    const Addr a0 = at(1, 0), a1 = at(2, 0);
+    const Addr b0 = at(3, 0), b1 = at(4, 0);
+    issue(dram, a0, ReqKind::DemandLoad, 0, 1);
+    issue(dram, a1, ReqKind::DemandLoad, 0, 2);
+    issue(dram, b0, ReqKind::DemandLoad, 1, 3);
+    issue(dram, b1, ReqKind::DemandLoad, 1, 4);
+    drain(eq);
+    EXPECT_EQ(order(), (std::vector<Addr>{at(0, 0), b0, a0, b1, a1}));
+    EXPECT_EQ(dram.stats().get("core0_bytes"), 3 * kBlockBytes);
+    EXPECT_EQ(dram.stats().get("core1_bytes"), 2 * kBlockBytes);
+}
+
+TEST_F(DramSchedFixture, WritesWaitForHighWatermarkOrIdleReads)
+{
+    params.writeDrainHigh = 4;
+    params.writeDrainLow = 2;
+    {
+        // Below the high watermark a waiting read goes first, even
+        // behind older writes; the writes drain once no read waits.
+        Dram dram(params, eq);
+        occupyBus(dram);
+        const Addr w1 = at(1, 0), w2 = at(2, 0), w3 = at(3, 0);
+        const Addr r = at(6, 0);
+        for (const Addr w : {w1, w2, w3})
+            issue(dram, w, ReqKind::Writeback, 0, 1);
+        issue(dram, r, ReqKind::DemandLoad, 0, 1);
+        drain(eq);
+        EXPECT_EQ(order(), (std::vector<Addr>{at(0, 0), r, w1, w2, w3}));
+        EXPECT_EQ(dram.stats().get("sched_write_drains"), 1u);
+    }
+    client.completions.clear();
+    {
+        // At the high watermark writes drain ahead of the waiting read
+        // down to the low watermark; the read then goes, and the rest
+        // drain once no read waits.
+        Dram dram(params, eq);
+        occupyBus(dram);
+        const Addr w1 = at(1, 0), w2 = at(2, 0), w3 = at(3, 0);
+        const Addr w4 = at(4, 0), w5 = at(5, 0);
+        const Addr r = at(6, 0);
+        for (const Addr w : {w1, w2, w3, w4, w5})
+            issue(dram, w, ReqKind::Writeback, 0, 1);
+        issue(dram, r, ReqKind::DemandLoad, 0, 1);
+        drain(eq);
+        EXPECT_EQ(order(),
+                  (std::vector<Addr>{at(0, 0), w1, w2, w3, r, w4, w5}));
+        EXPECT_EQ(dram.stats().get("sched_write_drains"), 2u);
+    }
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "common/fault.hh"
 #include "common/ring_buffer.hh"
 #include "core/stream_store.hh"
+#include "dram/dram.hh"
 #include "sim/hardening.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
@@ -164,6 +165,17 @@ TEST(ConfigValidation, SystemConfigRejectsBadGeometry)
         EXPECT_THROW(c.validate(), SimError);
     }
     {
+        // One core's L2 could then hold more LLC misses than its share
+        // of the LLC MSHRs.
+        SystemConfig c;
+        c.l2Mshrs = c.llcMshrsPerCore + 1;
+        EXPECT_THROW(c.validate(), SimError);
+        c.cores = 4;
+        EXPECT_THROW(c.validate(), SimError);
+        c.l2Mshrs = c.llcMshrsPerCore;
+        EXPECT_NO_THROW(c.validate());
+    }
+    {
         // 96KB / 64B / 8 ways = 192 sets: not a power of two.
         SystemConfig c;
         c.l1dBytes = 96 * 1024;
@@ -177,6 +189,36 @@ TEST(ConfigValidation, SystemConfigRejectsBadGeometry)
     // The defaults themselves must of course pass.
     EXPECT_NO_THROW(SystemConfig{}.validate());
     EXPECT_NO_THROW(paperGeometry().validate());
+}
+
+TEST(ConfigValidation, DramParamsRejected)
+{
+    // The address decode is shift/mask only: channels, banks per
+    // channel and rows per bank must each be a nonzero power of two.
+    const auto expectRejected = [](void (*mutate)(DramParams&)) {
+        DramParams p;
+        mutate(p);
+        EXPECT_THROW(p.validate(), SimError);
+    };
+    expectRejected([](DramParams& p) { p.channels = 0; });
+    expectRejected([](DramParams& p) { p.channels = 3; });
+    expectRejected([](DramParams& p) { p.ranksPerChannel = 0; });
+    expectRejected([](DramParams& p) { p.banksPerRank = 0; });
+    expectRejected([](DramParams& p) { p.ranksPerChannel = 3; });
+    expectRejected([](DramParams& p) { p.banksPerRank = 6; });
+    expectRejected([](DramParams& p) { p.rowsPerBank = 0; });
+    expectRejected([](DramParams& p) { p.rowsPerBank = 65535; });
+    expectRejected([](DramParams& p) { p.transferMTs = 0; });
+
+    // Every Table II shape passes, and the Dram constructor validates.
+    DramParams ok;
+    EXPECT_NO_THROW(ok.validate());
+    ok.channels = 4;
+    ok.ranksPerChannel = 2;
+    EXPECT_NO_THROW(ok.validate());
+    EventQueue eq;
+    ok.channels = 3;
+    EXPECT_THROW(Dram(ok, eq), SimError);
 }
 
 TEST(ConfigValidation, FaultRatesRejected)

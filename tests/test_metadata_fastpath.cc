@@ -2,10 +2,10 @@
  * @file
  * Tests for the flattened metadata fast path (DESIGN.md §8).
  *
- * Two halves: unit tests for the structural changes (pow2 rounding, flat
- * slot arrays, occupancy masks, resize rearrangement accounting) and
- * a golden-counter determinism test pinning full-run stat snapshots of the
- * stores to the golden set (golden_runs.hh).
+ * Unit tests for the structural changes (pow2 rounding, flat slot
+ * arrays, occupancy masks, resize rearrangement accounting). Full-run
+ * stat snapshots of both stores are pinned by the golden set
+ * (golden_runs.hh, GoldenRuns.MatchPinnedDigests in test_system.cc).
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +14,6 @@
 
 #include "common/hash.hh"
 #include "core/stream_store.hh"
-#include "golden_runs.hh"
-#include "sim/runner.hh"
 #include "temporal/pairwise_store.hh"
 
 namespace sl
@@ -207,16 +205,6 @@ TEST(StreamFastPath, OccupancyMasksSurviveChurn)
     EXPECT_NO_THROW(store.audit(0));
     store.setAllocation(0, 8);
     EXPECT_NO_THROW(store.audit(0));
-}
-
-// ---------- golden-counter determinism ----------
-
-// The full-run cells of the golden set exercise both metadata stores
-// end to end (Streamline's StreamStore, Triage/Triangel's PairwiseStore).
-TEST(MetadataFastPathDeterminism, MatchesPreRefactorGoldenStats)
-{
-    for (const golden::Row& g : golden::kRows)
-        golden::expectMatches(g);
 }
 
 } // namespace

@@ -3,10 +3,9 @@
  * Hot-path infrastructure tests: the request arena (ObjectPool), the
  * open-addressed MshrTable, and end-to-end determinism of pooled runs.
  *
- * The determinism golden values were captured from the pre-pool build
- * (runner API, streamline L2, scale 0.05, seed 1); asserting them here
- * pins the pooled/flat-MSHR hot path to bit-identical simulation
- * results.
+ * Pooled runs must repeat bit-identically; their pinned values live in
+ * the golden set (golden_runs.hh, GoldenRuns.MatchPinnedDigests in
+ * test_system.cc).
  */
 
 #include <gtest/gtest.h>
@@ -358,12 +357,6 @@ streamlineRows()
         if (std::string(g.l2) == "streamline")
             rows.push_back(g);
     return rows;
-}
-
-TEST(Determinism, MatchesPrePoolGoldenCounters)
-{
-    for (const golden::Row& g : streamlineRows())
-        golden::expectMatches(g);
 }
 
 RunResult

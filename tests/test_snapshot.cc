@@ -172,7 +172,6 @@ expectIdenticalResults(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.storedCorrelations, b.storedCorrelations);
     // Shared-memory-system counters (nonzero only on multi-core runs).
     EXPECT_EQ(a.pfDroppedPressure, b.pfDroppedPressure);
-    EXPECT_EQ(a.llcQuotaStalls, b.llcQuotaStalls);
     EXPECT_EQ(a.dramReadQueueWait, b.dramReadQueueWait);
     EXPECT_EQ(a.dramDemandReads, b.dramDemandReads);
     EXPECT_EQ(a.dramPrefetchReads, b.dramPrefetchReads);
@@ -219,11 +218,11 @@ TEST(SnapshotFile, SaveRestoreRoundTripIsBitIdentical)
 
 /**
  * The shared-memory-system state added for multi-core runs — per-channel
- * DRAM read/write queues with mid-flight requests, per-core LLC MSHR
- * quota charges, core/class tags on queued entries, and the pressure
+ * DRAM read/write queues with mid-flight requests, the LLC's per-core
+ * port lanes, core/class tags on queued entries, and the pressure
  * probe's parity coin — must all survive a snapshot taken while that
  * machinery is busy. A 2-core mix keeps every piece engaged (the DRAM
- * scheduler, LLC arbiter, and MemPressure only exist when cores > 1);
+ * scheduler, LLC port lanes, and MemPressure only exist when cores > 1);
  * the save point lands mid-run so queues are realistically non-empty.
  */
 TEST(SnapshotFile, MultiCoreSharedMemoryRoundTrip)
@@ -363,7 +362,7 @@ TEST(FastWakeSnapshot, ModeMismatchRejectedBothWays)
     const std::string digest = snapshotDigest(cfg, w);
     ASSERT_EQ(std::string(polling.data() + kHeaderBytes, digestBytes),
               digest);
-    const std::uint32_t previous = kSnapshotVersion - 1;
+    const std::uint32_t previous = 4; // the last format with both modes
     std::memcpy(polling.data() + kVersionAt, &previous, sizeof(previous));
 
     // The wake-on-free save: the same file with a scheduling-mode member

@@ -2,12 +2,12 @@
  * @file
  * Tests for the structural-stall scheduler (DESIGN.md §13.1).
  *
- * A request blocked on a full MSHR table or an exhausted per-core quota
- * parks in FIFO order on that resource and is replayed the cycle an
- * entry frees. This scheduler was once an opt-in mode (FastWake) beside
- * a retry-polling default; the polling scheduler is gone, and the test
- * names keep the old prefix.
- * Four properties are checked here:
+ * A request blocked on a full MSHR table parks in FIFO order on the
+ * table's waiter list and is replayed the cycle an entry frees. This
+ * scheduler was once an opt-in mode (FastWake) beside a retry-polling
+ * default; the polling scheduler is gone, and the test names keep the
+ * old prefix.
+ * Five properties are checked:
  *
  *  1. Agreement and liveness: against the polling scheduler's results,
  *     pinned from the last build that had it, retired-instruction
@@ -16,12 +16,15 @@
  *     invariants under check throughout each retry storm, and once the
  *     event queue drains every parked request has been woken and
  *     retired to its pool.
- *  2. Determinism: full-run stat digests match the golden set.
+ *  2. Determinism: full-run stat digests match the golden set
+ *     (GoldenRuns.MatchPinnedDigests, test_system.cc).
  *  3. Snapshot round-trip: saving mid retry storm (waiter lists and
  *     wake probes live) and restoring resumes bit-identically.
  *  4. Old snapshots: a snapshot written by the polling build, in either
  *     of its modes, is refused (test_snapshot.cc, next to the other
  *     snapshot-rejection tests).
+ *  5. The shared LLC never parks: the L2 MSHR bound keeps every core
+ *     within its share of the LLC table.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "golden_runs.hh"
 #include "prefetch/registry.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
@@ -126,12 +128,34 @@ TEST(FastWakeEquivalence, DefaultAndFastWakeAgree)
     }
 }
 
-// ---------- golden-digest determinism ----------
+// ---------- the shared LLC never parks ----------
 
-TEST(FastWakeGolden, MatchesPinnedDigests)
+// Each LLC miss holds one of its core's L2 MSHRs until it returns, and
+// SystemConfig::validate keeps l2Mshrs <= llcMshrsPerCore, so the LLC
+// table cannot overflow and a core cannot exceed its share of it: the
+// LLC needs no per-core quota. At the tightest legal geometry (L2 and
+// per-core LLC MSHRs equal, and fewer than the L1D's, so L1D misses
+// alone overrun the L2), drive both L2 tables into structural stalls
+// and check that the LLC never parks a request.
+TEST(LlcMshrBound, TwoCoreStormNeverParksAtTheLlc)
 {
-    for (const golden::Row& g : golden::kRows)
-        golden::expectMatches(g);
+    PrefetcherRegistry& reg = prefetcherRegistry();
+    const PrefetcherTuning tuning;
+    clearTraceCache();
+    SystemConfig sc;
+    sc.cores = 2;
+    sc.l2Mshrs = 8;
+    sc.llcMshrsPerCore = 8;
+    sc.hardening.auditInterval = 10'000;
+    sc.l1dPrefetcher = reg.make("stride", PrefetcherRegistry::L1, tuning);
+    sc.l2Prefetcher = reg.make("streamline", PrefetcherRegistry::L2, tuning);
+    System sys(sc, {getTrace("gap_pr", 0.05, /*seed=*/1),
+                    getTrace("spec06_mcf", 0.05, /*seed=*/1)});
+    sys.run();
+    for (unsigned c = 0; c < sc.cores; ++c)
+        EXPECT_GT(sys.l2(c).stats().get("mshr_retries"), 0u)
+            << "core " << c << ": its L2 never filled its MSHR table";
+    EXPECT_EQ(sys.llc().stats().get("mshr_retries"), 0u);
 }
 
 // ---------- snapshot round-trip mid retry storm ----------

@@ -1,7 +1,8 @@
 /**
  * @file
  * End-to-end tests: the System builder, the experiment runner, the
- * partition-scheme model (Table I), and multi-core composition.
+ * golden-run digests, the partition-scheme model (Table I), and
+ * multi-core composition.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 
 #include "core/partition_schemes.hh"
+#include "golden_runs.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "test_util.hh"
@@ -158,6 +160,18 @@ TEST(Runner, DramBandwidthKnobChangesPerformance)
     const auto f = runWorkload(fast, "spec06_libquantum");
     const auto s = runWorkload(slow, "spec06_libquantum");
     EXPECT_GT(f.cores[0].ipc, s.cores[0].ipc);
+}
+
+// ---------- golden runs ----------
+
+// Full-run digests of every temporal prefetcher (golden_runs.hh): any
+// change to what the simulator computes -- counter values, which
+// counters register, stall-scheduler wake order, the event order of
+// cache-to-cache hops -- fails here.
+TEST(GoldenRuns, MatchPinnedDigests)
+{
+    for (const golden::Row& g : golden::kRows)
+        golden::expectMatches(g);
 }
 
 // ---------- Table I partition-scheme model ----------
