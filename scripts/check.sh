@@ -7,7 +7,7 @@
 #   scripts/check.sh sanitize   # sanitizer build only
 #   scripts/check.sh simspeed   # simulator-speed gate (relative + hard floors)
 #   scripts/check.sh telemetry  # instrumented run + export validation
-#   scripts/check.sh resilience # hang-timeout kill + manifest resume
+#   scripts/check.sh resilience # hang timeout, manifest resume, fault campaign
 #   scripts/check.sh multicore  # 2-core and 4-core ASan smoke
 #   scripts/check.sh sampling   # sampled runs: ASan smoke + fidelity/speed
 #
@@ -218,6 +218,16 @@ assert doc["jobs"] and all(j["ok"] for j in doc["jobs"]), doc
 print(f"resilience ok: {len(doc['jobs'])} job(s) green after resume")
 EOF
     rm -f sl_snapshot_hang_job0.bin
+
+    # Fault campaign: every fault kind either leaves a completed run or is
+    # caught by the check built for it (a corrupted snapshot must fail
+    # its CRC); a fault that goes unnoticed fails the campaign.
+    local fc="${dir}/fault_campaign.out"
+    "${dir}/src/sim/sl_run" --l2 streamline --scale 0.05 \
+        --fault-campaign spec06_mcf > "${fc}"
+    grep -q 'fault snapshot_corrupt: caught \[snapshot\]' "${fc}"
+    grep -q 'campaign PASS' "${fc}"
+    echo "fault campaign green"
 }
 
 # Telemetry stage: a short instrumented run through the sl_run CLI, then

@@ -232,21 +232,10 @@ Cache::handleAt(MemRequest* req, Cycle start)
             }
             if (req->kind == ReqKind::DemandStore)
                 b->dirty = true;
-            if (fresh && listener_) {
-                // Built only when a listener will consume it: the common
-                // no-prefetcher hit path skips the whole struct.
-                AccessInfo info;
-                info.addr = req->addr;
-                info.pc = req->pc;
-                info.coreId = req->coreId;
-                info.cycle = start;
-                info.hit = true;
-                info.prefetchHit = prefetch_hit;
-                info.type = req->kind == ReqKind::DemandStore
-                                ? AccessType::Store
-                                : AccessType::Load;
-                listener_->onAccess(info);
-            }
+            if (fresh && listener_)
+                notifyListener(req->addr, req->pc, req->coreId,
+                               req->kind == ReqKind::DemandStore, true,
+                               prefetch_hit, start);
             respond(req, start + params_.latency);
         } else {
             // Prefetch for a resident block.
@@ -263,18 +252,10 @@ Cache::handleAt(MemRequest* req, Cycle start)
     // ----- miss -----
     if (demand && fresh) {
         ++ctr_.demandMisses;
-        if (listener_) {
-            AccessInfo info;
-            info.addr = req->addr;
-            info.pc = req->pc;
-            info.coreId = req->coreId;
-            info.cycle = start;
-            info.hit = false;
-            info.type = req->kind == ReqKind::DemandStore
-                            ? AccessType::Store
-                            : AccessType::Load;
-            listener_->onAccess(info);
-        }
+        if (listener_)
+            notifyListener(req->addr, req->pc, req->coreId,
+                           req->kind == ReqKind::DemandStore, false, false,
+                           start);
     }
 
     if (Mshr* m = mshrs_.find(req->addr)) {
@@ -464,17 +445,11 @@ Cache::installFill(Addr addr, bool prefetched, bool origin_here,
 
     if (victim->valid) {
         ++ctr_.evictions;
-        if (victim->dirty && next_) {
-            ++ctr_.writebacks;
-            MemRequest* wb = pool_->acquire();
-            wb->addr = victim->tag << kBlockShift;
-            wb->kind = ReqKind::Writeback;
-            // Charge the writeback to the core whose fill evicted the
-            // victim so the DRAM scheduler's per-core accounting and
-            // the downstream arbiter see a complete core tag chain.
-            wb->coreId = core;
-            next_->access(wb, now);
-        }
+        // Charge the writeback to the core whose fill evicted the victim
+        // so the DRAM scheduler's per-core accounting and the downstream
+        // arbiter see a complete core tag chain.
+        if (victim->dirty && next_)
+            writeBack(victim->tag << kBlockShift, core, now);
     }
 
     victim->valid = true;
@@ -485,6 +460,39 @@ Cache::installFill(Addr addr, bool prefetched, bool origin_here,
     lru_[base + vw] = ++lruTick_;
     victim->fillAt = now;
     tags_[base + vw] = victim->tag;
+}
+
+void
+Cache::writeBack(Addr addr, std::int32_t core, Cycle now)
+{
+    ++ctr_.writebacks;
+    if (functional_) {
+        // The hop into DRAM carries no state the functional pass needs;
+        // only cache-to-cache writebacks walk the chain.
+        if (nextCache_)
+            nextCache_->functionalWriteback(addr, now);
+        return;
+    }
+    MemRequest* wb = pool_->acquire();
+    wb->addr = addr;
+    wb->kind = ReqKind::Writeback;
+    wb->coreId = core;
+    next_->access(wb, now);
+}
+
+void
+Cache::notifyListener(Addr addr, PC pc, int core, bool store, bool hit,
+                      bool prefetch_hit, Cycle now)
+{
+    AccessInfo info;
+    info.addr = addr;
+    info.pc = pc;
+    info.coreId = core;
+    info.cycle = now;
+    info.hit = hit;
+    info.prefetchHit = prefetch_hit;
+    info.type = store ? AccessType::Store : AccessType::Load;
+    listener_->onAccess(info);
 }
 
 void
@@ -545,37 +553,20 @@ Cache::functionalAccess(Addr addr, PC pc, int core, bool store, Cycle now)
         }
         if (store)
             b->dirty = true;
-        if (listener_) {
-            AccessInfo info;
-            info.addr = addr;
-            info.pc = pc;
-            info.coreId = core;
-            info.cycle = now;
-            info.hit = true;
-            info.prefetchHit = prefetch_hit;
-            info.type = store ? AccessType::Store : AccessType::Load;
-            listener_->onAccess(info);
-        }
+        if (listener_)
+            notifyListener(addr, pc, core, store, true, prefetch_hit, now);
         return;
     }
 
     ++ctr_.demandMisses;
-    if (listener_) {
-        AccessInfo info;
-        info.addr = addr;
-        info.pc = pc;
-        info.coreId = core;
-        info.cycle = now;
-        info.hit = false;
-        info.type = store ? AccessType::Store : AccessType::Load;
-        listener_->onAccess(info);
-    }
+    if (listener_)
+        notifyListener(addr, pc, core, store, false, false, now);
     // Downstream demand misses forward as loads (store-ness does not
     // propagate, matching the detailed miss path); install on unwind
     // with the dirty bit only at this level.
     if (nextCache_)
         nextCache_->functionalAccess(addr, pc, core, false, now);
-    functionalFill(addr, false, false, store, now);
+    installFill(addr, false, false, store, core, now);
 }
 
 void
@@ -587,7 +578,7 @@ Cache::functionalWriteback(Addr addr, Cycle now)
         lru_[static_cast<std::size_t>(b - blocks_.data())] = ++lruTick_;
         return;
     }
-    functionalFill(addr, false, false, true, now);
+    installFill(addr, false, false, true, 0, now);
 }
 
 void
@@ -600,40 +591,7 @@ Cache::functionalPrefetch(Addr addr, Cycle now)
     }
     if (nextCache_)
         nextCache_->functionalPrefetch(addr, now);
-    functionalFill(addr, true, false, false, now);
-}
-
-void
-Cache::functionalFill(Addr addr, bool prefetched, bool origin_here,
-                      bool store, Cycle now)
-{
-    const std::uint32_t set = setIndex(addr);
-    const std::size_t base = static_cast<std::size_t>(set) * params_.ways;
-    const unsigned vw = pickVictimWay(base, reservedWays(set));
-    if (vw == params_.ways) {
-        ++ctr_.fillBypassed;
-        return;
-    }
-    Block* victim = &blocks_[base + vw];
-    if (victim->valid) {
-        ++ctr_.evictions;
-        if (victim->dirty && next_) {
-            ++ctr_.writebacks;
-            // The hop into DRAM carries no state the functional pass
-            // needs; only cache-to-cache writebacks walk the chain.
-            if (nextCache_)
-                nextCache_->functionalWriteback(victim->tag << kBlockShift,
-                                                now);
-        }
-    }
-    victim->valid = true;
-    victim->dirty = store;
-    victim->prefetched = prefetched;
-    victim->prefetchOriginHere = prefetched && origin_here;
-    victim->tag = blockNumber(addr);
-    lru_[base + vw] = ++lruTick_;
-    victim->fillAt = now;
-    tags_[base + vw] = victim->tag;
+    installFill(addr, true, false, false, 0, now);
 }
 
 void
@@ -666,7 +624,7 @@ Cache::issuePrefetch(Addr addr, PC pc, int core_id, Cycle now)
                 return;
             if (self->nextCache_)
                 self->nextCache_->functionalPrefetch(addr, when);
-            self->functionalFill(addr, true, true, false, when);
+            self->installFill(addr, true, true, false, 0, when);
         });
         return;
     }
@@ -784,19 +742,9 @@ Cache::reclaimReservedWays(std::uint32_t set, Cycle now)
         if (!row[w].valid)
             continue;
         ++stats_.counter("partition_reclaims");
-        if (row[w].dirty && next_) {
-            ++ctr_.writebacks;
-            if (functional_) {
-                if (nextCache_)
-                    nextCache_->functionalWriteback(
-                        row[w].tag << kBlockShift, now);
-            } else {
-                MemRequest* wb = pool_->acquire();
-                wb->addr = row[w].tag << kBlockShift;
-                wb->kind = ReqKind::Writeback;
-                next_->access(wb, now);
-            }
-        }
+        // Charged to core 0, whichever core's partition grew.
+        if (row[w].dirty && next_)
+            writeBack(row[w].tag << kBlockShift, 0, now);
         row[w].valid = false;
         tags_[static_cast<std::size_t>(set) * params_.ways + w] = kNoTag;
     }

@@ -302,15 +302,23 @@ class Cache : public MemLevel, public RequestClient
      *  a woken request that resolves as a hit or an MSHR merge calls it
      *  again, since it left its slot free for the next waiter. */
     void wakeOne(Cycle now);
+    /** Install @p addr over the set's victim, writing a dirty victim
+     *  back (charged to @p core). Detailed and functional fills both
+     *  come through here, so warmup leaves exactly the state detailed
+     *  fills would. */
     void installFill(Addr addr, bool prefetched, bool origin_here,
                      bool store, std::int32_t core, Cycle now);
     /** Victim scan over the packed tag/LRU side arrays: first invalid
      *  way at or past @p reserved, else the least-LRU way; params_.ways
-     *  when the whole set is metadata-reserved. Shared by the detailed
-     *  and functional fill paths so both pick identical victims. */
+     *  when the whole set is metadata-reserved. */
     unsigned pickVictimWay(std::size_t base, unsigned reserved) const;
-    void functionalFill(Addr addr, bool prefetched, bool origin_here,
-                        bool store, Cycle now);
+    /** Write dirty block @p addr back to the next level: a Writeback
+     *  request in detailed mode, functionalWriteback in functional mode
+     *  (where a DRAM hop carries nothing and is skipped). */
+    void writeBack(Addr addr, std::int32_t core, Cycle now);
+    /** Tell the listener (non-null) about one demand access. */
+    void notifyListener(Addr addr, PC pc, int core, bool store, bool hit,
+                        bool prefetch_hit, Cycle now);
     /** Downstream leg of a functional prefetch chain: install at every
      *  level like the detailed prefetch fill unwind would. */
     void functionalPrefetch(Addr addr, Cycle now);

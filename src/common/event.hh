@@ -317,8 +317,8 @@ class EventQueue
 
   private:
     /** Window span in cycles (power of two). Covers every short-range
-     *  schedule (cache latencies, retry backoff, typical DRAM service);
-     *  only deeply queued DRAM banks spill into the far heap. */
+     *  schedule (cache latencies, typical DRAM service); only deeply
+     *  queued DRAM banks spill into the far heap. */
     static constexpr std::size_t kHorizon = 2048;
     static constexpr std::size_t kMask = kHorizon - 1;
     static constexpr std::size_t kWords = kHorizon / 64;

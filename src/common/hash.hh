@@ -4,12 +4,14 @@
  *
  * The paper's prefetchers store *hashed* triggers (10 bits in
  * Triage/Triangel/Streamline) and hashed PCs; the hashes here are the folded
- * XOR constructions conventional in that literature.
+ * XOR constructions conventional in that literature. The FNV-1a at the end
+ * keys the simulator's identity digests.
  */
 
 #ifndef SL_COMMON_HASH_HH
 #define SL_COMMON_HASH_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "types.hh"
@@ -70,6 +72,23 @@ constexpr std::uint8_t
 hash8(std::uint64_t v)
 {
     return static_cast<std::uint8_t>(foldXor(mix64(v), 8));
+}
+
+/** Seed the identity digests (job manifests, checkpoint names) have
+ *  always used: the FNV offset basis 14695981039346656037 with its last
+ *  digit missing, which hashes just as well. */
+constexpr std::uint64_t kFnv1aSeed = 1469598103934665603ull;
+
+/** 64-bit FNV-1a over @p n bytes at @p data, continuing from @p h. */
+inline std::uint64_t
+fnv1a(const void* data, std::size_t n, std::uint64_t h = kFnv1aSeed)
+{
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull; // FNV-1a prime
+    }
+    return h;
 }
 
 } // namespace sl

@@ -40,19 +40,13 @@ StreamlinePrefetcher::attach(Cache* owner, Cache* llc, EventQueue* eq,
     uadp_.emplace(sp.sets, llc_->ways(), cfg_.metaWaysPerSet,
                   cfg_.triangelPartitioner, corr_scale);
 
-    if (cfg_.ideal) {
+    if (cfg_.ideal)
         store_->setAllocation(1, cfg_.metaWaysPerSet);
-    } else if (cfg_.fixedDen > 0) {
+    else if (cfg_.fixedDen > 0)
         store_->setAllocation(cfg_.fixedDen, cfg_.fixedWays);
-    } else {
-        // UADP starts at the half-size partition -- except on a shared
-        // LLC (live pressure probe), where the store starts released and
-        // must *earn* capacity through a utility epoch: a cycle-0 claim
-        // can evict a co-runner's LLC-resident working set before the
-        // first pressure epoch ever completes, and refetching it through
-        // contended DRAM may never finish.
-        store_->setAllocation(pressure_ ? 0 : 2, cfg_.metaWaysPerSet);
-    }
+    else // UADP starts at the half-size partition
+        store_->setAllocation(denQuarters(startingAllocation(2)),
+                              cfg_.metaWaysPerSet);
 }
 
 StreamlinePrefetcher::TuEntry&
@@ -121,61 +115,16 @@ StreamlinePrefetcher::onAccess(const AccessInfo& info)
     trainOn(tu, block, info.cycle);
     issuePrefetches(tu, block, info.cycle);
 
-    // Dynamic partitioning epoch (§IV-E4). Under shared-memory pressure
-    // the utility comparison is no longer local: LLC ways held for
-    // metadata are capacity a co-runner's demand stream would use, so a
-    // mostly-elevated epoch halves the chosen allocation and a
-    // mostly-saturated one returns the ways to data entirely.
-    if (!cfg_.ideal && cfg_.fixedDen == 0 && uadp_->shouldResize()) {
-        unsigned den = uadp_->pickDenominator();
-        switch (pressureDemotions()) {
-        case 1:
-            den = den == 0 ? 0 : den * 2; // full->half, half->quarter
-            break;
-        case 2:
-            den = 0;
-            ++stats_.counter("pressure_deallocations");
-            if (store_->allocationDen() != 0)
-                notePressureRelease();
-            break;
-        default:
-            break;
-        }
-        // Growth hysteresis: UADP may only enlarge the allocation after
-        // several calm pressure epochs (allocated fraction is 1/den, 0
-        // when off), breaking the shrink/drain/regrow limit cycle.
-        const unsigned cur_den = store_->allocationDen();
-        const auto frac = [](unsigned d) { return d ? 1.0 / d : 0.0; };
-        if (pressureRecentlyHot() && frac(den) > frac(cur_den))
-            den = cur_den;
-        applyAllocation(den, cfg_.metaWaysPerSet, info.cycle);
-    } else if (!cfg_.ideal && cfg_.fixedDen == 0 && pressureEpochReady()) {
-        // Fast path between UADP epochs: a core whose miss stream is too
-        // thin to ever finish a 2^15-access utility epoch still pins its
-        // initial metadata allocation, so demote from the store's current
-        // denominator on the pressure sample alone.
-        const unsigned cur = store_->allocationDen();
-        switch (pressureDemotions()) {
-        case 1:
-            // Ratchet: half -> quarter -> released. A second consecutive
-            // elevated epoch means the quarter allocation is still
-            // capacity the co-runners need more than we do.
-            if (cur != 0) {
-                if (cur >= 4)
-                    notePressureRelease();
-                applyAllocation(cur >= 4 ? 0 : cur * 2,
-                                cfg_.metaWaysPerSet, info.cycle);
-            }
-            break;
-        case 2:
-            ++stats_.counter("pressure_deallocations");
-            if (cur != 0)
-                notePressureRelease();
-            applyAllocation(0, cfg_.metaWaysPerSet, info.cycle);
-            break;
-        default:
-            break;
-        }
+    // Dynamic partitioning epoch (§IV-E4), with the shared-LLC release
+    // policy (prefetcher.hh) deciding between and at UADP's epochs.
+    if (!cfg_.ideal && cfg_.fixedDen == 0) {
+        const unsigned held = denQuarters(store_->allocationDen());
+        const unsigned q =
+            uadp_->shouldResize()
+                ? pressureAtEpoch(denQuarters(uadp_->pickDenominator()),
+                                  held)
+                : pressureBetweenEpochs(held, 4); // 4/4: full store
+        applyAllocation(denQuarters(q), cfg_.metaWaysPerSet, info.cycle);
     }
 }
 
@@ -278,6 +227,8 @@ void
 StreamlinePrefetcher::writeEntry(TuEntry& tu, const StreamEntry& e,
                                  Cycle now, bool allow_realign)
 {
+    // A released store bills no LLC metadata ports.
+    const bool bill = !cfg_.ideal && !released(store_->allocationDen());
     InsertOutcome out = store_->insert(e, tu.pc);
 
     if (out == InsertOutcome::Filtered && allow_realign &&
@@ -294,8 +245,7 @@ StreamlinePrefetcher::writeEntry(TuEntry& tu, const StreamEntry& e,
         out = store_->insert(realigned, tu.pc);
         if (out != InsertOutcome::Filtered) {
             ++stats_.counter("realign_success");
-            if (out != InsertOutcome::Bypassed && !cfg_.ideal &&
-                !released())
+            if (out != InsertOutcome::Bypassed && bill)
                 llc_->metadataAccess(true, now);
             store_->sampleCorrelation(realigned.trigger,
                                       realigned.targets[0], tu.pc);
@@ -307,7 +257,7 @@ StreamlinePrefetcher::writeEntry(TuEntry& tu, const StreamEntry& e,
         // One LLC write per completed stream entry -- the 4x traffic
         // reduction over pairwise formats (§IV-A). Bypassed entries are
         // still sampled (the sampler is how bypass decisions improve).
-        if (out != InsertOutcome::Bypassed && !cfg_.ideal && !released())
+        if (out != InsertOutcome::Bypassed && bill)
             llc_->metadataAccess(true, now);
         store_->sampleCorrelation(e.trigger, e.targets[0], tu.pc);
     }
@@ -347,12 +297,9 @@ StreamlinePrefetcher::issuePrefetches(TuEntry& tu, Addr block, Cycle now)
 {
     const unsigned degree =
         cfg_.degreeControl ? tu.degree : cfg_.maxDegree;
-    // A released store (multi-core, under pressure) walks the chain for
-    // the utility measurement but issues nothing: its only live state is
-    // the sampled-set shadow plus the per-PC buffer, and prefetching
-    // from that residue is almost all pollution the contended memory
-    // system cannot absorb.
-    const bool suppress = released();
+    // A released store walks the chain for the utility measurement but
+    // issues nothing (see Prefetcher::released).
+    const bool suppress = released(store_->allocationDen());
     unsigned issued = 0;
     Addr cursor = block;
     Cycle t = now;
@@ -378,7 +325,7 @@ StreamlinePrefetcher::issuePrefetches(TuEntry& tu, Addr block, Cycle now)
             // Metadata read from the LLC partition (§IV-E7 step 3).
             // A released store's sampled sets read as shadow tags at
             // fixed latency -- no shared LLC port traffic.
-            t = cfg_.ideal || released()
+            t = cfg_.ideal || suppress
                     ? t + llc_->latency()
                     : llc_->metadataAccess(false, t);
             ++tu.epochInsertions;

@@ -95,17 +95,9 @@ class StreamlinePrefetcher : public Prefetcher, public PartitionPolicy
     unsigned
     reservedWays(std::uint32_t set) const override
     {
-        // A pressure-released store (multi-core only; den 0 with a live
-        // probe) also stops reserving LLC ways for its *sampled* sets:
-        // they keep measuring as shadow tags so the utility signal can
-        // regrow the store after calm, but their permanent 8-way claim
-        // on hot shared sets is exactly the capacity theft the release
-        // was meant to end. Single-core (null probe) is untouched.
-        if (pressure_ != nullptr && store_ && store_->allocationDen() == 0)
+        if (!store_ || released(store_->allocationDen()))
             return 0;
-        return store_ && store_->allocated(set)
-                   ? store_->allocationWays()
-                   : 0;
+        return store_->allocated(set) ? store_->allocationWays() : 0;
     }
 
     /** The metadata store (exposed for probes, tests, and benches). */
@@ -191,15 +183,11 @@ class StreamlinePrefetcher : public Prefetcher, public PartitionPolicy
         unsigned degree = 4;
     };
 
-    /** Pressure-released store (multi-core only): no LLC allocation, so
-     *  sampled-set shadow ops must not bill LLC ports either -- the
-     *  whole point of the release is to stop touching the shared LLC. */
-    bool
-    released() const
-    {
-        return pressure_ != nullptr && store_ &&
-               store_->allocationDen() == 0;
-    }
+    /** UADP set denominator <-> allocation in quarters of the full
+     *  store, the release policy's unit (1/2/4 <-> 4/2/1, 0 <-> 0; the
+     *  map is its own inverse, and halving a quarter count doubles the
+     *  denominator). */
+    static unsigned denQuarters(unsigned x) { return x ? 4 / x : 0; }
 
     TuEntry& tuFor(PC pc);
     void trainOn(TuEntry& tu, Addr block, Cycle now);

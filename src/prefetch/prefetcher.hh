@@ -158,13 +158,8 @@ class Prefetcher : public CacheListener
         return virt * totalCores_ + static_cast<std::uint32_t>(coreId_);
     }
 
-    /**
-     * Running pressure sample for one partition-sizing epoch. Call
-     * samplePressure() on the training path (no-op single-core), then
-     * pressureDemotions() at the resize decision: 0 = calm epoch, 1 =
-     * mostly elevated (halve the metadata allocation), 2 = mostly
-     * saturated (give the capacity back to data). Resets per epoch.
-     */
+    /** Fold the shared-memory pressure level into the current pressure
+     *  epoch; call once per training event (no-op single-core). */
     void
     samplePressure()
     {
@@ -174,16 +169,94 @@ class Prefetcher : public CacheListener
         }
     }
 
+    // ---- shared-LLC release policy (DESIGN.md §12) ----
+    // Designs pass allocations in their own units, in which halving is
+    // exact (Streamline: quarters of the store; Triangel: ways), and
+    // apply the verdict. With a null probe (single-core) every verdict
+    // is the design's own choice.
+
+    /** Allocation at attach: @p alone on a private LLC, 0 on a shared
+     *  one, where a store must earn capacity through a utility epoch (a
+     *  cycle-0 claim can evict a co-runner's resident working set). */
+    unsigned
+    startingAllocation(unsigned alone) const
+    {
+        return pressure_ ? 0 : alone;
+    }
+
+    /** True when the LLC is shared and nothing is @p held. A released
+     *  store reserves no LLC ways (sampled sets included), issues no
+     *  prefetches and bills no LLC metadata ports; it keeps training so
+     *  its utility signal can regrow it. */
+    bool
+    released(unsigned held) const
+    {
+        return pressure_ != nullptr && held == 0;
+    }
+
     /**
-     * True once the pressure epoch holds enough samples to act on by
-     * itself. Low-miss phases may never complete a design's own resize
-     * epoch (e.g. a 2^15-access UADP epoch on a core with 30k training
-     * events total), but the co-runners they starve cannot wait: designs
-     * check this on the training path and shrink from the *current*
-     * allocation when a full pressure epoch accumulates first.
+     * Verdict at the design's own resize epoch on the allocation @p want
+     * its utility logic chose, holding @p held: a mostly-elevated
+     * pressure epoch halves @p want; a mostly-saturated one returns 0
+     * (counted in pressure_deallocations) and backs off if anything was
+     * held. Never grows past @p held until the calm streak is long enough.
      */
+    unsigned
+    pressureAtEpoch(unsigned want, unsigned held)
+    {
+        const unsigned lvl = pressureDemotions();
+        if (lvl == 1) {
+            want /= 2;
+        } else if (lvl == 2) {
+            want = 0;
+            ++stats_.counter("pressure_deallocations");
+            if (held != 0)
+                notePressureRelease();
+        }
+        return pressureRecentlyHot() && want > held ? held : want;
+    }
+
+    /**
+     * Shrink-only verdict between resize epochs, holding @p held of a
+     * @p full allocation: a thin miss stream may never finish a utility
+     * epoch, and the co-runners it starves cannot wait. Once a pressure
+     * epoch is full (until then: @p held), elevated halves @p held, or
+     * releases it at @p full / 4 or less; saturated releases it (counted
+     * in pressure_deallocations). A forced release backs off.
+     */
+    unsigned
+    pressureBetweenEpochs(unsigned held, unsigned full)
+    {
+        if (!pressureEpochReady())
+            return held;
+        unsigned next = held;
+        const unsigned lvl = pressureDemotions();
+        if (lvl == 1) {
+            next = held <= full / 4 ? 0 : held / 2;
+        } else if (lvl == 2) {
+            next = 0;
+            ++stats_.counter("pressure_deallocations");
+        }
+        if (held != 0 && next == 0)
+            notePressureRelease();
+        return next;
+    }
+
+    Cache* owner_ = nullptr;
+    Cache* llc_ = nullptr;
+    EventQueue* eq_ = nullptr;
+    FaultInjector* faults_ = nullptr;
+    PressureSignal* pressure_ = nullptr;
+    int coreId_ = 0;
+    unsigned totalCores_ = 1;
+    StatGroup stats_;
+
+  private:
+    /** True once the pressure epoch holds enough samples to act on. */
     bool pressureEpochReady() const { return pressureSamples_ >= 2048; }
 
+    /** Close the pressure epoch: 0 = calm, 1 = mostly elevated, 2 =
+     *  mostly saturated. Updates the calm streak. */
     unsigned
     pressureDemotions()
     {
@@ -212,10 +285,9 @@ class Prefetcher : public CacheListener
      * Growth hysteresis. A demoted metadata store drains the very queues
      * whose depth demoted it, so the next epoch reads calm and the
      * design's own utility logic grows the store right back — a
-     * shrink/drain/regrow/saturate limit cycle. Designs block allocation
-     * *growth* while this is true: until enough consecutive calm
-     * pressure epochs have passed. Always false single-core (null
-     * probe).
+     * shrink/drain/regrow/saturate limit cycle. Growth is blocked until
+     * enough consecutive calm pressure epochs have passed. Always false
+     * single-core (null probe).
      */
     bool pressureRecentlyHot() const
     {
@@ -223,14 +295,13 @@ class Prefetcher : public CacheListener
     }
 
     /**
-     * Exponential backoff on the hysteresis window. Designs call this
-     * each time pressure forces the allocation all the way back to zero
-     * (NOT when their own utility logic chooses zero): a store whose
-     * utility signal keeps regrowing it into the same contention is
-     * overclaiming — realized co-runner harm exceeds realized benefit —
-     * and each strike quadruples the calm streak required before the
-     * next growth, which effectively locks a repeat offender released
-     * for the rest of the run.
+     * Exponential backoff on the hysteresis window, applied each time
+     * pressure forces a held allocation all the way to zero (NOT when
+     * the utility logic chooses zero): a store whose utility signal
+     * keeps regrowing it into the same contention is overclaiming, so
+     * each strike quadruples the calm streak required before the next
+     * growth, which effectively locks a repeat offender released for the
+     * rest of the run.
      */
     void
     notePressureRelease()
@@ -239,11 +310,6 @@ class Prefetcher : public CacheListener
             calmNeed_ *= 4;
     }
 
-    Cache* owner_ = nullptr;
-    Cache* llc_ = nullptr;
-    EventQueue* eq_ = nullptr;
-    FaultInjector* faults_ = nullptr;
-    PressureSignal* pressure_ = nullptr;
     std::uint64_t pressureSum_ = 0;
     std::uint64_t pressureSamples_ = 0;
     /** Consecutive calm pressure epochs; starts at the hysteresis
@@ -253,9 +319,6 @@ class Prefetcher : public CacheListener
     /** Calm streak required before growth; quadrupled per forced
      *  release (16 -> 64 -> 256, capped). */
     std::uint32_t calmNeed_ = 16;
-    int coreId_ = 0;
-    unsigned totalCores_ = 1;
-    StatGroup stats_;
     /** Issue counter resolved once; prefetch() is per-issue hot. */
     Counter& issuedCtr_{stats_.counter("issued")};
 };

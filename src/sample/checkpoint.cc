@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "sim/batch.hh"
 #include "sim/snapshot.hh"
 #include "sim/system.hh"
@@ -16,17 +17,6 @@ namespace sl
 
 namespace
 {
-
-std::uint64_t
-fnv64(const std::string& s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 bool
 fileExists(const std::string& path)
@@ -40,11 +30,12 @@ std::string
 checkpointPath(const std::string& dir, const RunConfig& cfg,
                const std::string& workload, std::size_t record)
 {
+    const std::string digest = snapshotDigest(cfg, {workload});
     std::ostringstream os;
     if (!dir.empty())
         os << dir << '/';
     os << "sl_ckpt_" << std::hex << std::setw(16) << std::setfill('0')
-       << fnv64(snapshotDigest(cfg, {workload})) << std::dec << "_r"
+       << fnv1a(digest.data(), digest.size()) << std::dec << "_r"
        << record << ".bin";
     return os.str();
 }

@@ -25,7 +25,7 @@ namespace sl
 
 /**
  * Stable checkpoint file path for @p cfg x @p workload at record
- * boundary @p record: <dir>/sl_ckpt_<fnv64(snapshotDigest)>_r<record>.bin.
+ * boundary @p record: <dir>/sl_ckpt_<fnv1a(snapshotDigest)>_r<record>.bin.
  * The digest hash keys the file to the exact run identity; a stale file
  * from another config cannot collide silently because readSnapshotFile
  * re-verifies the full digest string on load.

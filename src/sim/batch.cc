@@ -6,11 +6,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
+
+#include "common/hash.hh"
 
 namespace sl
 {
@@ -44,17 +45,14 @@ jobDigest(const ExperimentSpec& spec)
     key += spec.label;
     key += '\0';
     key += toJson(spec.config);
+    key += tuningKey(spec.config);
     for (const auto& w : spec.workloads) {
         key += '\0';
         key += w;
     }
-    std::uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
-    for (const char c : key) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull; // FNV-1a prime
-    }
     std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0') << h;
+    os << std::hex << std::setw(16) << std::setfill('0')
+       << fnv1a(key.data(), key.size());
     return os.str();
 }
 
@@ -85,10 +83,6 @@ runOne(const ExperimentSpec& spec, const BatchOptions& opts,
 
     const unsigned attempts = 1 + opts.maxRetries;
     for (unsigned attempt = 0; attempt < attempts; ++attempt) {
-        if (attempt > 0 && opts.retryBackoffSec > 0)
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                opts.retryBackoffSec *
-                static_cast<double>(1u << (attempt - 1))));
         ++jr.attempts;
         try {
             jr.result =
@@ -255,38 +249,6 @@ BatchRunner::run(const std::vector<ExperimentSpec>& specs_in) const
 }
 
 std::string
-jsonEscape(const std::string& s)
-{
-    std::ostringstream os;
-    for (const char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << "\\u" << std::hex << std::setw(4)
-                   << std::setfill('0') << static_cast<int>(c)
-                   << std::dec << std::setfill(' ');
-            else
-                os << c;
-        }
-    }
-    return os.str();
-}
-
-std::string
-jsonNumber(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    return os.str();
-}
-
-std::string
 toJson(const RunConfig& cfg)
 {
     std::ostringstream os;
@@ -296,6 +258,32 @@ toJson(const RunConfig& cfg)
        << ",\"dram_mts\":" << cfg.dramMTs
        << ",\"trace_scale\":" << jsonNumber(cfg.traceScale)
        << ",\"seed\":" << cfg.seed << "}";
+    return os.str();
+}
+
+std::string
+tuningKey(const RunConfig& cfg)
+{
+    std::ostringstream os;
+    const auto put = [&os](const char* name, auto... v) {
+        os << name << ':';
+        ((os << ' ' << v), ...);
+        os << ';';
+    };
+    const StreamlineConfig& s = cfg.streamline;
+    put("streamline", s.streamLength, s.bufferEntries, s.tuEntries,
+        s.maxDegree, s.enableBuffer, s.enableAlignment,
+        s.taggedSetPartition, s.useTpMockingjay, s.degreeControl,
+        s.realignment, s.skewedIndexing, s.triangelPartitioner,
+        s.fixedDen, s.fixedWays, s.ideal, s.metaWaysPerSet,
+        s.partialTagBits, s.degreeEpoch);
+    const TriangelConfig& t = cfg.triangel;
+    put(" triangel", t.maxDegree, t.tuEntries, t.maxWays,
+        t.resizeInterval, t.mrbEntries, t.hsEntries, t.scsEntries,
+        t.ideal, t.useTpMockingjay);
+    const TriageConfig& g = cfg.triage;
+    put(" triage", g.degree, g.tuEntries, g.maxWays, g.resizeInterval,
+        g.unlimited);
     return os.str();
 }
 

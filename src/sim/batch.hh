@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/runner.hh"
 
 namespace sl
@@ -85,7 +86,6 @@ struct BatchOptions
      */
     double jobTimeoutSec = 0;
     unsigned maxRetries = 0;   //!< extra attempts for a failed job
-    double retryBackoffSec = 0; //!< sleep before retry k: backoff * 2^(k-1)
     std::string snapshotDir;   //!< where hang snapshots land ("" = cwd)
 };
 
@@ -122,21 +122,25 @@ constexpr std::uint32_t kResultsVersion = 1;
 
 /**
  * Stable identity of one job for the sweep manifest: a 64-bit FNV-1a
- * over kResultsVersion, the label, the config JSON, and the workload
- * list, rendered as hex. Collisions across a sweep's handful of jobs
+ * over kResultsVersion, the label, the config JSON, the prefetcher
+ * tuning (tuningKey), and the workload list, rendered as hex. Collisions across a sweep's handful of jobs
  * are not a realistic concern; a digest only needs to tell jobs of one
  * sweep apart.
  */
 std::string jobDigest(const ExperimentSpec& spec);
 
-/** JSON-escape the contents of @p s (no surrounding quotes). */
-std::string jsonEscape(const std::string& s);
-
-/** Round-trippable double literal (max_digits10 precision). */
-std::string jsonNumber(double v);
-
 /** A RunConfig as a JSON object. */
 std::string toJson(const RunConfig& cfg);
+
+/**
+ * The prefetcher tuning structs (RunConfig::streamline, triangel and
+ * triage) as text. toJson(RunConfig) leaves them out, so bench
+ * `==JSON==` blocks do not change with them; the identity digests
+ * (jobDigest, snapshotDigest and the checkpoint names built on it) must
+ * include them, or a differently tuned run would resume another's
+ * manifest entry or restore another's snapshot.
+ */
+std::string tuningKey(const RunConfig& cfg);
 
 /** One (spec, result) pair as a JSON object. */
 std::string toJson(const ExperimentSpec& spec, const JobResult& jr);

@@ -163,7 +163,7 @@ snapshotDigest(const RunConfig& cfg,
                const std::vector<std::string>& workloads)
 {
     std::ostringstream os;
-    os << toJson(cfg) << " workloads:";
+    os << toJson(cfg) << ' ' << tuningKey(cfg) << " workloads:";
     for (const auto& w : workloads)
         os << ' ' << w;
     return os.str();

@@ -205,9 +205,10 @@ RunResult runWorkloadsRaw(const RunConfig& cfg,
 SystemConfig systemConfigFor(const RunConfig& cfg);
 
 /**
- * The config-identity string stored in snapshot files: toJson(cfg) plus
- * the workload list. Save and restore invocations must agree on it
- * (same prefetchers, geometry, scale, seed, workloads) or the restore is
+ * The config-identity string stored in snapshot files: toJson(cfg), the
+ * prefetcher tuning (tuningKey) and the workload list. Save and restore
+ * invocations must agree on it (same prefetchers and tuning, geometry,
+ * scale, seed, workloads) or the restore is
  * rejected — restoring into a differently-built System would reinterpret
  * the payload as garbage.
  */

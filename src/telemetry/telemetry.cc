@@ -2,49 +2,15 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iomanip>
-#include <limits>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace sl
 {
 
 namespace
 {
-
-/** Round-trippable double literal (local twin of batch.cc's helper; the
- *  telemetry library must not depend on the sim layer). */
-std::string
-num(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    return os.str();
-}
-
-std::string
-esc(const std::string& s)
-{
-    std::ostringstream os;
-    for (const char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << "\\u" << std::hex << std::setw(4)
-                   << std::setfill('0') << static_cast<int>(c) << std::dec
-                   << std::setfill(' ');
-            else
-                os << c;
-        }
-    }
-    return os.str();
-}
 
 /** Trace-event timestamp: microseconds, 1 us == 1 kilocycle. */
 double
@@ -70,25 +36,25 @@ appendIntervalFields(std::ostringstream& os, const IntervalRecord& r,
     field("end_cycle", std::to_string(r.endCycle));
     field("cycles", std::to_string(r.cycles()));
     field("retired", std::to_string(r.delta.retired));
-    field("ipc", num(r.ipc()));
+    field("ipc", jsonNumber(r.ipc()));
     field("l1d_accesses", std::to_string(r.delta.l1dAccesses));
     field("l1d_misses", std::to_string(r.delta.l1dMisses));
-    field("l1d_mpki", num(r.l1dMpki()));
+    field("l1d_mpki", jsonNumber(r.l1dMpki()));
     field("l2_misses", std::to_string(r.delta.l2Misses));
-    field("l2_mpki", num(r.l2Mpki()));
+    field("l2_mpki", jsonNumber(r.l2Mpki()));
     field("llc_misses", std::to_string(r.delta.llcMisses));
-    field("llc_mpki", num(r.llcMpki()));
+    field("llc_mpki", jsonNumber(r.llcMpki()));
     field("pf_issued", std::to_string(r.delta.pfIssued));
     field("pf_useful", std::to_string(r.delta.pfUseful));
     field("pf_late", std::to_string(r.delta.pfLate));
     field("pf_dropped", std::to_string(r.delta.pfDropped));
-    field("pf_accuracy", num(r.accuracy()));
-    field("pf_coverage", num(r.coverage()));
+    field("pf_accuracy", jsonNumber(r.accuracy()));
+    field("pf_coverage", jsonNumber(r.coverage()));
     field("dram_reads", std::to_string(r.delta.dramReads));
     field("dram_writes", std::to_string(r.delta.dramWrites));
     field("dram_bytes", std::to_string(r.delta.dramBytes));
-    field("dram_row_hit_rate", num(r.dramRowHitRate()));
-    field("dram_bytes_per_kcycle", num(r.dramBytesPerKCycle()));
+    field("dram_row_hit_rate", jsonNumber(r.dramRowHitRate()));
+    field("dram_bytes_per_kcycle", jsonNumber(r.dramBytesPerKCycle()));
     field("mshr_retries", std::to_string(r.delta.mshrRetries));
     field("mshr_high_water", std::to_string(r.mshrHighWater));
     field("evq_high_water", std::to_string(r.eventQueueHighWater));
@@ -176,16 +142,16 @@ chromeTraceJson(const TelemetryData& d)
         events.emplace_back(
             t, std::string("{\"name\":\"") + name +
                    "\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":" +
-                   num(t) + ",\"args\":{" + args + "}}");
+                   jsonNumber(t) + ",\"args\":{" + args + "}}");
     };
 
     for (const IntervalRecord& r : d.intervals) {
         const double t = ts(r.startCycle);
-        counter(t, "ipc", "\"ipc\":" + num(r.ipc()));
+        counter(t, "ipc", "\"ipc\":" + jsonNumber(r.ipc()));
         counter(t, "mpki",
-                "\"l1d\":" + num(r.l1dMpki()) +
-                    ",\"l2\":" + num(r.l2Mpki()) +
-                    ",\"llc\":" + num(r.llcMpki()));
+                "\"l1d\":" + jsonNumber(r.l1dMpki()) +
+                    ",\"l2\":" + jsonNumber(r.l2Mpki()) +
+                    ",\"llc\":" + jsonNumber(r.llcMpki()));
         counter(t, "prefetch",
                 "\"issued\":" + std::to_string(r.delta.pfIssued) +
                     ",\"useful\":" + std::to_string(r.delta.pfUseful) +
@@ -193,9 +159,9 @@ chromeTraceJson(const TelemetryData& d)
                     ",\"dropped\":" +
                     std::to_string(r.delta.pfDropped));
         counter(t, "dram_bytes_per_kcycle",
-                "\"bandwidth\":" + num(r.dramBytesPerKCycle()));
+                "\"bandwidth\":" + jsonNumber(r.dramBytesPerKCycle()));
         counter(t, "dram_row_hit_rate",
-                "\"rate\":" + num(r.dramRowHitRate()));
+                "\"rate\":" + jsonNumber(r.dramRowHitRate()));
         counter(t, "occupancy_high_water",
                 "\"mshr\":" + std::to_string(r.mshrHighWater) +
                     ",\"event_queue\":" +
@@ -205,11 +171,11 @@ chromeTraceJson(const TelemetryData& d)
     for (const Incident& inc : d.incidents) {
         const double t = ts(inc.cycle);
         events.emplace_back(
-            t, "{\"name\":\"" + esc(inc.kind) +
+            t, "{\"name\":\"" + jsonEscape(inc.kind) +
                    "\",\"ph\":\"i\",\"s\":\"g\",\"pid\":0,\"tid\":0,"
                    "\"ts\":" +
-                   num(t) + ",\"args\":{\"detail\":\"" +
-                   esc(inc.detail) + "\"}}");
+                   jsonNumber(t) + ",\"args\":{\"detail\":\"" +
+                   jsonEscape(inc.detail) + "\"}}");
     }
 
     std::stable_sort(events.begin(), events.end(),

@@ -27,11 +27,8 @@ TriangelPrefetcher::attach(Cache* owner, Cache* llc, EventQueue* eq,
     sp.utilityRepl = cfg_.useTpMockingjay;
     store_.emplace(sp);
     store_->setFaultInjector(faults_);
-    // On a shared LLC (live pressure probe) the store starts released and
-    // must earn ways through set dueling; a cycle-0 half-size claim can
-    // evict a co-runner's LLC-resident working set irrecoverably.
     currentWays_ = cfg_.ideal ? cfg_.maxWays
-                              : (pressure_ ? 0 : cfg_.maxWays / 2);
+                              : startingAllocation(cfg_.maxWays / 2);
     store_->resize(currentWays_);
     dataSampler_.emplace(std::min<std::uint32_t>(64, metadataSets()),
                          metadataSets(), llc_->ways());
@@ -181,20 +178,25 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
         dataSampler_->access(set, block);
         samplePressure(); // no-op single-core (null probe)
         ++accessesSinceResize_;
-        if (accessesSinceResize_ >= cfg_.resizeInterval)
+        if (accessesSinceResize_ >= cfg_.resizeInterval) {
             maybeResize(info.cycle);
-        else if (pressureEpochReady())
-            pressureShrink(info.cycle);
+        } else if (const unsigned ways = pressureBetweenEpochs(
+                       currentWays_, cfg_.maxWays);
+                   ways != currentWays_) {
+            resizeTo(ways, info.cycle);
+            // A released store must also stop the MRB from chaining
+            // prefetches off stale correlations it cached before.
+            if (ways == 0)
+                for (auto& e : mrb_)
+                    e.valid = false;
+        }
     }
 
     // ---- training: correlate with last (or second-last under lookahead)
-    // A pressure-released store (multi-core only: pressureShrink drove it
-    // to zero ways) holds nothing but the sampled measurement sets, so it
-    // stops billing LLC metadata traffic — without this, a released
-    // Triangel keeps saturating the shared LLC with reads and writes that
-    // can no longer hit. Streamline gets the same for free from filtered
-    // indexing; single-core runs (null pressure probe) are untouched.
-    const bool released = pressure_ != nullptr && currentWays_ == 0;
+    // A released store holds nothing but the sampled measurement sets:
+    // it bills no LLC metadata traffic and issues nothing (see
+    // Prefetcher::released).
+    const bool off_llc = released(currentWays_);
 
     const Addr trigger = tu.lookahead ? tu.secondLast : tu.last;
     if (trigger != 0 && trigger != block) {
@@ -206,7 +208,7 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
             const auto cached = mrbLookup(trigger);
             if (!cached || *cached != block) {
                 store_->insert(trigger, block);
-                if (!cfg_.ideal && !released)
+                if (!cfg_.ideal && !off_llc)
                     llc_->metadataAccess(true, info.cycle);
                 mrbInsert(trigger, block);
             } else {
@@ -237,7 +239,7 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
             ++mrbHitsCtr_;
         } else {
             target = store_->lookup(cur);
-            if (!cfg_.ideal && !released)
+            if (!cfg_.ideal && !off_llc)
                 t = llc_->metadataAccess(false, t);
             else
                 t = t + 20; // dedicated-store latency
@@ -247,50 +249,11 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
         if (!target)
             break;
         // A released store still chases the chain through its sampled
-        // shadow sets (the dueling signal needs the hits), but issues
-        // nothing: prefetching from that residue is almost all pollution
-        // the contended memory system cannot absorb.
-        if (!released)
+        // shadow sets (the dueling signal needs the hits).
+        if (!off_llc)
             prefetch(*target << kBlockShift, info.pc, t);
         cur = *target;
     }
-}
-
-void
-TriangelPrefetcher::pressureShrink(Cycle now)
-{
-    // Fast path between set-dueling epochs: a thin miss stream may never
-    // reach resizeInterval, but its initial half-size store still holds
-    // LLC ways a co-runner's demand stream needs. Shrink-only — growing
-    // stays the dueling epoch's call.
-    unsigned target = currentWays_;
-    switch (pressureDemotions()) {
-    case 1:
-        // Ratchet like Streamline's fast path: once already down to a
-        // quarter of the store, a further elevated epoch releases it all.
-        target = currentWays_ <= 2 ? 0 : currentWays_ / 2;
-        break;
-    case 2:
-        target = 0;
-        ++stats_.counter("pressure_deallocations");
-        break;
-    default:
-        return;
-    }
-    if (target == currentWays_)
-        return;
-    if (target == 0)
-        notePressureRelease();
-    ++stats_.counter("resizes");
-    currentWays_ = target;
-    const std::uint64_t moved = store_->resize(target);
-    stats_.counter("shuffle_blocks") += moved;
-    llc_->metadataBulkTraffic(moved, now);
-    // A released store must also stop the MRB from chaining prefetches
-    // off stale correlations it cached before the release.
-    if (target == 0)
-        for (auto& e : mrb_)
-            e.valid = false;
 }
 
 void
@@ -343,36 +306,20 @@ TriangelPrefetcher::maybeResize(Cycle now)
         best_ways = 0;
     dataSampler_->reset();
 
-    // Shared-memory pressure overrides the local dueling score: ways
-    // held for metadata are capacity a co-runner's demand stream would
-    // use, so a mostly-elevated epoch halves the winning size and a
-    // mostly-saturated one hands the capacity back to data.
-    switch (pressureDemotions()) {
-    case 1:
-        best_ways /= 2;
-        break;
-    case 2:
-        best_ways = 0;
-        ++stats_.counter("pressure_deallocations");
-        if (currentWays_ != 0)
-            notePressureRelease();
-        break;
-    default:
-        break;
-    }
-    // Growth hysteresis: dueling may only regrow the store after the
-    // shared memory system has stayed calm for several epochs.
-    if (pressureRecentlyHot() && best_ways > currentWays_)
-        best_ways = currentWays_;
+    // The shared-LLC release policy (prefetcher.hh) has the last word.
+    resizeTo(pressureAtEpoch(best_ways, currentWays_), now);
+}
 
-    if (best_ways == currentWays_)
+void
+TriangelPrefetcher::resizeTo(unsigned ways, Cycle now)
+{
+    if (ways == currentWays_)
         return;
-
     ++stats_.counter("resizes");
-    const bool growing = best_ways > currentWays_;
-    currentWays_ = best_ways;
+    const bool growing = ways > currentWays_;
+    currentWays_ = ways;
     // The expensive part: misplaced entries shuffle through the LLC.
-    const std::uint64_t moved = store_->resize(best_ways);
+    const std::uint64_t moved = store_->resize(ways);
     stats_.counter("shuffle_blocks") += moved;
     llc_->metadataBulkTraffic(moved, now);
     if (growing) {

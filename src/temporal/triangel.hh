@@ -74,11 +74,7 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     unsigned
     reservedWays(std::uint32_t set) const override
     {
-        // A pressure-released store (multi-core only) drops the sampled
-        // sets' reservation too: they keep measuring as shadow tags, but
-        // their permanent full-size claim on hot shared LLC sets is the
-        // capacity theft the release exists to end.
-        if (pressure_ != nullptr && currentWays_ == 0)
+        if (released(currentWays_))
             return 0;
         // Sampled sets stay at full size (utility measurement).
         if (store_ && store_->sampledSet(set))
@@ -176,8 +172,10 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     std::optional<Addr> mrbLookup(Addr trigger);
     void mrbInsert(Addr trigger, Addr target);
     unsigned degreeFor(const TuEntry& tu) const;
-    void pressureShrink(Cycle now);
     void maybeResize(Cycle now);
+    /** Repartition the store to @p ways, shuffling misplaced entries
+     *  through the LLC and reclaiming data ways on growth. */
+    void resizeTo(unsigned ways, Cycle now);
 
     TriangelConfig cfg_;
     std::optional<PairwiseStore> store_;

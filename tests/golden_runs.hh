@@ -26,6 +26,7 @@
 #include <map>
 #include <string>
 
+#include "common/hash.hh"
 #include "sim/runner.hh"
 
 namespace sl::golden
@@ -64,23 +65,12 @@ inline constexpr Row kRows[] = {
 };
 
 inline std::uint64_t
-fnv1a(std::uint64_t h, const void* data, std::size_t n)
-{
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-inline std::uint64_t
 digestStats(const std::map<std::string, std::uint64_t>& m)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (const auto& [k, v] : m) {
-        h = fnv1a(h, k.data(), k.size());
-        h = fnv1a(h, &v, sizeof(v));
+        h = fnv1a(k.data(), k.size(), h);
+        h = fnv1a(&v, sizeof(v), h);
     }
     return h;
 }

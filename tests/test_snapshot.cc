@@ -413,6 +413,32 @@ TEST_F(SnapshotRejection, ConfigMismatchRejected)
               std::string::npos);
 }
 
+TEST_F(SnapshotRejection, PrefetcherTuningMismatchRejected)
+{
+    // Same prefetcher, different tuning: the prefetcher's tables would
+    // restore without complaint into a run that then reports numbers
+    // neither configuration produces, unless the digest covers tuning.
+    RunConfig tuned = smallConfig();
+    tuned.streamline.maxDegree = 1;
+    EXPECT_NE(restoreError(tuned).find("configuration mismatch"),
+              std::string::npos);
+    tuned = smallConfig();
+    tuned.streamline.useTpMockingjay = false;
+    EXPECT_NE(restoreError(tuned).find("configuration mismatch"),
+              std::string::npos);
+}
+
+/** smallConfig(@p l2) with one prefetcher-tuning field changed. */
+std::vector<RunConfig>
+tuningVariants(const char* l2 = "streamline")
+{
+    std::vector<RunConfig> v(3, smallConfig(l2));
+    v[0].streamline.maxDegree = 1;
+    v[1].triangel.useTpMockingjay = true;
+    v[2].triage.degree = 2;
+    return v;
+}
+
 TEST(SnapshotDigest, CoversConfigAndWorkloads)
 {
     const RunConfig cfg = smallConfig();
@@ -422,6 +448,9 @@ TEST(SnapshotDigest, CoversConfigAndWorkloads)
               snapshotDigest(cfg, {"gap_bfs"}));
     EXPECT_NE(snapshotDigest(smallConfig("streamline"), {"spec06_mcf"}),
               snapshotDigest(smallConfig("triage"), {"spec06_mcf"}));
+    for (const RunConfig& tuned : tuningVariants())
+        EXPECT_NE(snapshotDigest(cfg, {"spec06_mcf"}),
+                  snapshotDigest(tuned, {"spec06_mcf"}));
 }
 
 // ---------- sweep manifest ----------
@@ -445,6 +474,11 @@ TEST(SweepManifest, JobDigestIsStableAndDiscriminating)
     EXPECT_NE(jobDigest(a), jobDigest(spec("b", "spec06_mcf")));
     EXPECT_NE(jobDigest(a), jobDigest(spec("a", "gap_bfs")));
     EXPECT_NE(jobDigest(a), jobDigest(spec("a", "spec06_mcf", "triage")));
+    for (const RunConfig& tuned : tuningVariants()) {
+        ExperimentSpec t = a;
+        t.config = tuned;
+        EXPECT_NE(jobDigest(a), jobDigest(t));
+    }
 }
 
 TEST(SweepManifest, ResumeSkipsFinishedJobsAndReplaysJson)

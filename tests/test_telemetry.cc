@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "golden_runs.hh"
 #include "sim/runner.hh"
 #include "telemetry/histogram.hh"
 #include "telemetry/telemetry.hh"
@@ -430,27 +431,7 @@ TEST(TelemetryRun, OutputFilesMatchIntervalCount)
 
 // ---------- determinism: telemetry only observes ----------
 
-std::uint64_t
-fnv1a(std::uint64_t h, const void* data, std::size_t n)
-{
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
-digestStats(const std::map<std::string, std::uint64_t>& m)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto& [k, v] : m) {
-        h = fnv1a(h, k.data(), k.size());
-        h = fnv1a(h, &v, sizeof(v));
-    }
-    return h;
-}
+using golden::digestStats;
 
 TEST(TelemetryDeterminism, EnablingTelemetryLeavesDigestsBitIdentical)
 {
