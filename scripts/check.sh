@@ -8,7 +8,7 @@
 #   scripts/check.sh simspeed   # simulator-speed gate (relative + hard floors)
 #   scripts/check.sh telemetry  # instrumented run + export validation
 #   scripts/check.sh resilience # hang timeout, manifest resume, fault campaign
-#   scripts/check.sh multicore  # 2-core and 4-core ASan smoke
+#   scripts/check.sh multicore  # 2-, 4- and 8-core ASan smoke
 #   scripts/check.sh sampling   # sampled runs: ASan smoke + fidelity/speed
 #
 # The modes after `sanitize` add what ctest cannot cover: runs of the
@@ -344,11 +344,13 @@ EOF
 # per-core LLC port lanes, MemPressure prefetch demotion) only exists
 # when cores > 1. A 2-core and a 4-core mix under ASan+UBSan shake
 # memory errors out of the queue/lane/pressure paths (4 cores drive four
-# LLC lanes and four scheduler requestors); the single-core golden
-# digests that prove them inert otherwise run in ctest.
+# LLC lanes and four scheduler requestors); 8 cores of gap_pr drive the
+# widest FR-FCFS rotation and skip the most blocked-core steps. The
+# golden digests that pin these paths (1, 2, 4 and 8 cores) run in
+# ctest.
 multicore() {
     local sandir="$1"
-    echo "== multicore: 2-core and 4-core ASan smoke =="
+    echo "== multicore: 2-, 4- and 8-core ASan smoke =="
     cmake --build "${sandir}" --target sl_run -j
     "${sandir}/src/sim/sl_run" --l2 streamline --scale 0.05 \
         --mix spec06_mcf,gap_bfs > "${sandir}/multicore_smoke.out"
@@ -362,7 +364,12 @@ multicore() {
         grep -q "core ${i}: ${w} ipc=" "${sandir}/multicore_smoke4.out"
         i=$((i + 1))
     done
-    echo "2-core and 4-core ASan smoke mixes green"
+    "${sandir}/src/sim/sl_run" --l2 streamline --cores 8 --scale 0.02 \
+        gap_pr > "${sandir}/multicore_smoke8.out"
+    for i in 0 1 2 3 4 5 6 7; do
+        grep -q "core ${i}: gap_pr ipc=" "${sandir}/multicore_smoke8.out"
+    done
+    echo "2-, 4- and 8-core ASan smoke mixes green"
 }
 
 case "${MODE}" in

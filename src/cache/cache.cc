@@ -95,6 +95,7 @@ Cache::Cache(const CacheParams& params, EventQueue& eq, MemLevel* next,
       blocks_(static_cast<std::size_t>(numSets_) * params.ways),
       tags_(static_cast<std::size_t>(numSets_) * params.ways, kNoTag),
       lru_(static_cast<std::size_t>(numSets_) * params.ways, 0),
+      dirty_(static_cast<std::size_t>(numSets_) * params.ways, 0),
       mshrs_(params.mshrs == 0 ? 1 : params.mshrs),
       stats_(params.name)
 {
@@ -187,9 +188,8 @@ Cache::handleAt(MemRequest* req, Cycle start)
         // Writebacks allocate here (write-validate); no response needed.
         ++ctr_.writebackIn;
         if (Block* b = findBlock(req->addr)) {
-            b->dirty = true;
-            lru_[static_cast<std::size_t>(b - blocks_.data())] =
-                ++lruTick_;
+            markDirty(b);
+            lru_[wayIndex(b)] = ++lruTick_;
         } else {
             installFill(req->addr, false, false, true, req->coreId, start);
         }
@@ -216,7 +216,7 @@ Cache::handleAt(MemRequest* req, Cycle start)
         // ----- hit -----
         if (req->retried)
             wakeOne(start);
-        lru_[static_cast<std::size_t>(b - blocks_.data())] = ++lruTick_;
+        lru_[wayIndex(b)] = ++lruTick_;
         if (demand) {
             bool prefetch_hit = false;
             if (fresh)
@@ -231,7 +231,7 @@ Cache::handleAt(MemRequest* req, Cycle start)
                         start > b->fillAt ? start - b->fillAt : 0);
             }
             if (req->kind == ReqKind::DemandStore)
-                b->dirty = true;
+                markDirty(b);
             if (fresh && listener_)
                 notifyListener(req->addr, req->pc, req->coreId,
                                req->kind == ReqKind::DemandStore, true,
@@ -401,7 +401,7 @@ Cache::wakeOne(Cycle now)
     if (mshrFreeWaiters_.empty() || mshrs_.full())
         return;
     MemRequest* w = mshrFreeWaiters_.front();
-    mshrFreeWaiters_.erase(mshrFreeWaiters_.begin());
+    mshrFreeWaiters_.pop_front();
     ++wakeProbes_;
     eq_.schedule(now,
                  EventCallback::make(EventKind::Retry, reqDesc(this, w)));
@@ -441,25 +441,30 @@ Cache::installFill(Addr addr, bool prefetched, bool origin_here,
         ++ctr_.fillBypassed;
         return;
     }
-    Block* victim = &blocks_[base + vw];
+    const std::size_t i = base + vw;
 
-    if (victim->valid) {
+    // The eviction decision reads only the packed mirrors (valid from
+    // tags_, dirty from dirty_): the victim's Block row is written
+    // below, never loaded.
+    if (tags_[i] != kNoTag) {
         ++ctr_.evictions;
         // Charge the writeback to the core whose fill evicted the victim
         // so the DRAM scheduler's per-core accounting and the downstream
         // arbiter see a complete core tag chain.
-        if (victim->dirty && next_)
-            writeBack(victim->tag << kBlockShift, core, now);
+        if (dirty_[i] && next_)
+            writeBack(tags_[i] << kBlockShift, core, now);
     }
 
+    Block* victim = &blocks_[i];
     victim->valid = true;
     victim->dirty = store;
     victim->prefetched = prefetched;
     victim->prefetchOriginHere = prefetched && origin_here;
     victim->tag = blockNumber(addr);
-    lru_[base + vw] = ++lruTick_;
     victim->fillAt = now;
-    tags_[base + vw] = victim->tag;
+    lru_[i] = ++lruTick_;
+    tags_[i] = victim->tag;
+    dirty_[i] = store;
 }
 
 void
@@ -543,7 +548,7 @@ Cache::functionalAccess(Addr addr, PC pc, int core, bool store, Cycle now)
 
     if (Block* b = findBlock(addr)) {
         ++ctr_.demandHits;
-        lru_[static_cast<std::size_t>(b - blocks_.data())] = ++lruTick_;
+        lru_[wayIndex(b)] = ++lruTick_;
         bool prefetch_hit = false;
         if (b->prefetched) {
             b->prefetched = false;
@@ -552,7 +557,7 @@ Cache::functionalAccess(Addr addr, PC pc, int core, bool store, Cycle now)
             prefetch_hit = true;
         }
         if (store)
-            b->dirty = true;
+            markDirty(b);
         if (listener_)
             notifyListener(addr, pc, core, store, true, prefetch_hit, now);
         return;
@@ -574,8 +579,8 @@ Cache::functionalWriteback(Addr addr, Cycle now)
 {
     ++ctr_.writebackIn;
     if (Block* b = findBlock(addr)) {
-        b->dirty = true;
-        lru_[static_cast<std::size_t>(b - blocks_.data())] = ++lruTick_;
+        markDirty(b);
+        lru_[wayIndex(b)] = ++lruTick_;
         return;
     }
     installFill(addr, false, false, true, 0, now);
@@ -586,7 +591,7 @@ Cache::functionalPrefetch(Addr addr, Cycle now)
 {
     ++ctr_.prefetchRequests;
     if (Block* b = findBlock(addr)) {
-        lru_[static_cast<std::size_t>(b - blocks_.data())] = ++lruTick_;
+        lru_[wayIndex(b)] = ++lruTick_;
         return;
     }
     if (nextCache_)
@@ -632,7 +637,7 @@ Cache::issuePrefetch(Addr addr, PC pc, int core_id, Cycle now)
         // Memory system saturated: the prefetch is a hint, shed it
         // before it costs an MSHR, a downstream slot, and DRAM bandwidth
         // a demand miss needs more.
-        ++stats_.counter("prefetch_dropped_pressure");
+        ++droppedPressureCtr_;
         return;
     }
     MemRequest* req = pool_->acquire();
@@ -710,6 +715,9 @@ Cache::audit(Cycle now) const
             static_cast<std::size_t>(set) * params_.ways;
         const Block* row = &blocks_[base];
         for (unsigned w = 0; w < params_.ways; ++w) {
+            SL_CHECK_AT(dirty_[base + w] == row[w].dirty, comp, now,
+                        "dirty mirror disagrees with the block's dirty "
+                        "bit in set " << set << " way " << w);
             if (!row[w].valid) {
                 SL_CHECK_AT(tags_[base + w] == kNoTag, comp, now,
                             "tag mirror holds a stale tag for an invalid "
@@ -771,8 +779,12 @@ Cache::serializeState(Serializer& s, const SnapshotCtx& ctx)
     // stale pointers on restore.
     if (s.loading())
         fillWaiters_.clear();
-    static_assert(std::is_trivially_copyable_v<Block>);
+    static_assert(std::is_trivially_copyable_v<Block> &&
+                  std::has_unique_object_representations_v<Block>);
     s.io(blocks_);
+    if (s.loading()) // derived: the dirty mirror is rebuilt, not saved
+        for (std::size_t i = 0; i < blocks_.size(); ++i)
+            dirty_[i] = blocks_[i].dirty;
     s.io(tags_);
     s.io(lru_);
     s.io(lruTick_);

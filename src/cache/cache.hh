@@ -12,6 +12,7 @@
 #define SL_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -253,6 +254,7 @@ class Cache : public MemLevel, public RequestClient
         bool dirty = false;
         bool prefetched = false;       //!< filled by a prefetch, unused yet
         bool prefetchOriginHere = false; //!< that prefetch originated here
+        std::uint8_t pad[4] = {};      //!< explicit, so snapshots are stable
         Addr tag = 0;
         /** Install cycle; with telemetry on, the first demand hit on a
          *  prefetched block reports (now - fillAt) as fill-to-demand
@@ -290,6 +292,19 @@ class Cache : public MemLevel, public RequestClient
 
     std::uint32_t setIndex(Addr addr) const;
     Block* findBlock(Addr addr);
+    /** @p b's index in blocks_ and in the tags_/lru_/dirty_ mirrors. */
+    std::size_t
+    wayIndex(const Block* b) const
+    {
+        return static_cast<std::size_t>(b - blocks_.data());
+    }
+    /** Set @p b's dirty bit and its dirty_ mirror. */
+    void
+    markDirty(Block* b)
+    {
+        b->dirty = true;
+        dirty_[wayIndex(b)] = 1;
+    }
     /** Book a request port: @p core's lane when arbCores > 0 (clamped
      *  to [0, arbCores)), else the shared pool. */
     Cycle reservePortFor(int core, Cycle now);
@@ -363,6 +378,11 @@ class Cache : public MemLevel, public RequestClient
      *  stamp refresh stays a single 8-byte store. lru_[i] is only
      *  meaningful while tags_[i] != kNoTag. */
     std::vector<std::uint64_t> lru_;
+    /** Dirty bits, split out the same way: dirty_[i] is
+     *  blocks_[i].dirty, so the fill path decides the victim's writeback
+     *  from tags_ and dirty_ without loading its Block row. Rebuilt
+     *  from blocks_ on restore (not serialized); audited. */
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t lruTick_ = 0;
 
     MshrTable mshrs_; //!< keyed by block address; capacity = MSHR limit
@@ -382,8 +402,9 @@ class Cache : public MemLevel, public RequestClient
      *  and eviction happens there too -- so popping this list there
      *  subsumes the per-set fill/eviction waiter classes: a parked
      *  request implies the table is full, which implies downstream fills
-     *  are outstanding, which guarantees a future wake. */
-    std::vector<MemRequest*> mshrFreeWaiters_;
+     *  are outstanding, which guarantees a future wake. A deque, so a
+     *  wake pops the oldest in O(1) however long the list grows. */
+    std::deque<MemRequest*> mshrFreeWaiters_;
     /** Wake probes scheduled but not yet executed (every Retry event is
      *  one). Lets the auditor tell a stranded waiter (a bug) from one
      *  whose wake is simply pending a port slot: a free table slot with
@@ -443,6 +464,9 @@ class Cache : public MemLevel, public RequestClient
         Counter& metadataWrites;
     };
     HotCounters ctr_{stats_};
+    /** Fires only under a pressure probe (multi-core), so it registers
+     *  lazily and single-core stat maps never see it. */
+    HotCounter droppedPressureCtr_{stats_, "prefetch_dropped_pressure"};
 };
 
 } // namespace sl

@@ -295,7 +295,9 @@ class EventQueue
         nextAt_ = kNoCycle;
     }
 
-    /** Run every event scheduled at or before @p now. */
+    /** Run every event scheduled at or before @p now. The far heap is
+     *  usually empty, so its emptiness is tested inline before the
+     *  out-of-line admission walk. */
     void
     runUntil(Cycle now)
     {
@@ -305,13 +307,15 @@ class EventQueue
                 break;
             if (next > now_) {
                 now_ = next;
-                admitFar();
+                if (!far_.empty())
+                    admitFar();
             }
             drainBucket(next);
         }
         if (now > now_) {
             now_ = now;
-            admitFar();
+            if (!far_.empty())
+                admitFar();
         }
     }
 

@@ -140,6 +140,15 @@ class HotCounter
         return *this;
     }
 
+    /** Raise the counter to @p v when it is lower (a high-water mark). */
+    void
+    noteMax(std::uint64_t v)
+    {
+        Counter& c = resolve();
+        if (v > c.value())
+            c.set(v);
+    }
+
   private:
     Counter&
     resolve()

@@ -29,6 +29,7 @@ struct StreamEntry
     Addr trigger = 0;
     std::array<Addr, kMaxStreamLength> targets{};
     std::uint8_t length = 0; //!< populated targets
+    std::uint8_t pad[7] = {}; //!< explicit, so snapshots are stable
 
     bool valid() const { return length > 0; }
 

@@ -194,7 +194,8 @@ class StreamStore
         ways_ = w;
         s.io(denPow2_);
         s.io(denMask_);
-        static_assert(std::is_trivially_copyable_v<Slot>);
+        static_assert(std::is_trivially_copyable_v<Slot> &&
+                      std::has_unique_object_representations_v<Slot>);
         s.io(slots_);
         s.io(occ_);
         s.io(liveEntries_);
@@ -207,10 +208,12 @@ class StreamStore
     struct Slot
     {
         bool valid = false;
+        std::uint8_t pad0[7] = {}; //!< explicit, so snapshots are stable
         StreamEntry entry;
         std::uint16_t ptag = 0;
         std::uint8_t rrpv = 2;  //!< SRRIP state
         std::int8_t etr = 0;    //!< TP-Mockingjay estimated time remaining
+        std::uint8_t pad1[4] = {};
         PC pc = 0;
     };
 

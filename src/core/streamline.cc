@@ -168,7 +168,7 @@ StreamlinePrefetcher::completeEntry(TuEntry& tu, Cycle now)
     }
 
     if (match) {
-        ++stats_.counter("overlap_detected");
+        ++overlapDetectedCtr_;
         // Benign redundancy (§V-C2): the overlapping address follows a
         // *different* predecessor in the two streams, so the extra copy
         // disambiguates context rather than wasting space.
@@ -177,7 +177,7 @@ StreamlinePrefetcher::completeEntry(TuEntry& tu, Cycle now)
                            : (match_pos == 1 ? match->trigger
                                              : match->targets[match_pos - 2]);
         if (match_pos > 0 && pred_old != tu.prevTail)
-            ++stats_.counter("benign_overlap");
+            ++benignOverlapCtr_;
     }
 
     if (cfg_.enableAlignment && match) {
@@ -191,7 +191,7 @@ StreamlinePrefetcher::completeEntry(TuEntry& tu, Cycle now)
             aligned.targets[i + 1] = e.targets[i];
         aligned.length = static_cast<std::uint8_t>(L);
 
-        ++stats_.counter("aligned");
+        ++alignedCtr_;
         writeEntry(tu, aligned, now, /*allow_realign=*/false);
 
         // Bootstrap the next stream from the leftover correlation.
@@ -211,7 +211,7 @@ StreamlinePrefetcher::completeEntry(TuEntry& tu, Cycle now)
     }
 
     if (match)
-        ++stats_.counter("redundant_stored");
+        ++redundantStoredCtr_;
 
     writeEntry(tu, e, now);
     bufferInsert(tu, e);
@@ -241,10 +241,10 @@ StreamlinePrefetcher::writeEntry(TuEntry& tu, const StreamEntry& e,
         for (unsigned i = 0; i + 1 < e.length; ++i)
             realigned.targets[i + 1] = e.targets[i];
         realigned.length = e.length;
-        ++stats_.counter("realign_attempts");
+        ++realignAttemptsCtr_;
         out = store_->insert(realigned, tu.pc);
         if (out != InsertOutcome::Filtered) {
-            ++stats_.counter("realign_success");
+            ++realignSuccessCtr_;
             if (out != InsertOutcome::Bypassed && bill)
                 llc_->metadataAccess(true, now);
             store_->sampleCorrelation(realigned.trigger,

@@ -214,6 +214,13 @@ class StreamlinePrefetcher : public Prefetcher, public PartitionPolicy
     HotCounter degreeIssuedCtr_{stats_, "degree_issued"};
     HotCounter missedTriggersCtr_{stats_, "missed_triggers"};
     HotCounter filteredSkippedCtr_{stats_, "filtered_lookups_skipped"};
+    // Stream-completion counters (alignment and realignment, §IV-B/C).
+    HotCounter overlapDetectedCtr_{stats_, "overlap_detected"};
+    HotCounter benignOverlapCtr_{stats_, "benign_overlap"};
+    HotCounter alignedCtr_{stats_, "aligned"};
+    HotCounter redundantStoredCtr_{stats_, "redundant_stored"};
+    HotCounter realignAttemptsCtr_{stats_, "realign_attempts"};
+    HotCounter realignSuccessCtr_{stats_, "realign_success"};
 };
 
 } // namespace sl

@@ -60,6 +60,7 @@ Core::fastForwardTo(std::size_t records, std::uint64_t instructions,
     bubblesPrimed_ = false;
     lastLoadSlot_ = SIZE_MAX;
     blockedOnSlot_ = SIZE_MAX;
+    wakeAt_ = 0;
     startCycle_ = now;
 }
 
@@ -195,6 +196,8 @@ Core::requestDone(const MemRequest& req, Cycle now)
     // Responses can only arrive for live loads (retire waits for them).
     if (e.slotGen == gen && e.isMem && e.doneAt == kNoCycle) {
         e.doneAt = now;
+        if (now < wakeAt_)
+            wakeAt_ = now;
         if (tele_)
             tele_->loadToUse.record(now - e.issuedAt);
     }

@@ -82,6 +82,29 @@ class Core : public RequestClient
      *  blocked on a memory response). */
     Cycle nextWake(Cycle now) const;
 
+    /**
+     * step() for a loop that visits cycles on behalf of many cores: a
+     * step that made no progress records nextWake(), and the core is
+     * not stepped again before that cycle unless a completed load
+     * (requestDone) lowers it. Exact: a blocked core's state changes
+     * only when its ROB head or the load dispatch waits on completes,
+     * both completion cycles are folded into the wake, and a step that
+     * makes no progress changes nothing, so each skipped step would
+     * have returned false.
+     */
+    bool
+    stepAwake(Cycle now)
+    {
+        if (now < wakeAt_)
+            return false;
+        if (step(now)) {
+            wakeAt_ = 0;
+            return true;
+        }
+        wakeAt_ = nextWake(now);
+        return false;
+    }
+
     /** True once the first full pass over the trace has retired. */
     bool done() const { return evalEndCycle_ != kNoCycle; }
 
@@ -157,7 +180,8 @@ class Core : public RequestClient
         SL_CHECK(robSize == rob_.size(), "core",
                  "snapshot ROB size " << robSize << " does not match the "
                  "configured " << rob_.size() << " entries");
-        static_assert(std::is_trivially_copyable_v<RobEntry>);
+        static_assert(std::is_trivially_copyable_v<RobEntry> &&
+                      std::has_unique_object_representations_v<RobEntry>);
         s.io(rob_);
         s.io(robHead_);
         s.io(robCount_);
@@ -177,6 +201,8 @@ class Core : public RequestClient
         s.io(evalEndCycle_);
         s.io(startCycle_);
         stats_.serializeState(s);
+        if (s.loading())
+            wakeAt_ = 0;
     }
 
   private:
@@ -185,6 +211,7 @@ class Core : public RequestClient
         std::uint32_t weight = 1;     //!< instruction count (bubbles fold)
         bool isMem = false;
         bool endsRecord = false;
+        std::uint8_t pad[2] = {};     //!< explicit, so snapshots are stable
         Cycle doneAt = kNoCycle;      //!< kNoCycle while a load is in flight
         Cycle issuedAt = 0;           //!< dispatch cycle (load-to-use probe)
         std::uint64_t slotGen = 0;    //!< matches in-flight request tags
@@ -233,6 +260,10 @@ class Core : public RequestClient
      *  step() re-records it before nextWake() is ever consulted. */
     std::size_t blockedOnSlot_ = SIZE_MAX;
     std::uint64_t blockedOnGen_ = 0;
+
+    /** stepAwake() skips steps before this cycle (0: step every cycle).
+     *  Not serialized: a restore or fast-forward resets it. */
+    Cycle wakeAt_ = 0;
 
     // Measurement window, in records retired. Defaults to the trace's
     // own warmup/full-pass boundaries; the sampled runner narrows it to

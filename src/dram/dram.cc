@@ -91,8 +91,8 @@ Dram::Dram(const DramParams& params, EventQueue& eq)
 
     if (params_.scheduled()) {
         channels_.resize(params_.channels);
-        firstIdx_.resize(params_.requestors);
-        firstHitIdx_.resize(params_.requestors);
+        for (Channel& c : channels_)
+            c.classReads.assign(2 * std::size_t{params_.requestors}, 0);
         coreBytes_.reserve(params_.requestors);
         for (unsigned c = 0; c < params_.requestors; ++c)
             coreBytes_.push_back(&stats_.counter(
@@ -249,7 +249,7 @@ Dram::enqueueScheduled(MemRequest* req, Cycle now)
     if (req->kind == ReqKind::Writeback) {
         ++writesCtr_;
         c.writeQ.push_back(e);
-        notePeak("write_q_peak", c.writeQ.size());
+        writeQPeakCtr_.noteMax(c.writeQ.size());
     } else {
         ++readsCtr_;
         if (e.demand)
@@ -258,14 +258,52 @@ Dram::enqueueScheduled(MemRequest* req, Cycle now)
             ++prefetchReadsCtr_;
         c.readQ.push_back(e);
         ++queuedReads_;
-        if (e.demand)
-            ++c.demandQueued;
-        notePeak("read_q_peak", c.readQ.size());
+        ++c.reads(e.core, e.demand);
+        readQPeakCtr_.noteMax(c.readQ.size());
     }
 
     // The channel services one request per tick; ticks chase busFreeAt_
     // so the bus never idles while work is queued.
     armTick(d.channel, std::max(now, busFreeAt_[d.channel]));
+}
+
+std::size_t
+Dram::pickRead(unsigned ch, Cycle now)
+{
+    // Demand class beats prefetch class; within the class, cores take
+    // round-robin turns (the cursor advances past the serviced core),
+    // and within a core's turn row hits go first, then FCFS. The class
+    // and the turn (the first core from the cursor holding a read of
+    // the class) come from the per-core counts; one pass over the queue
+    // then considers only that core's reads of that class, stopping at
+    // the first row hit or once all of them are seen.
+    Channel& c = channels_[ch];
+    const unsigned n = params_.requestors;
+    bool demand = false;
+    for (unsigned k = 0; k < n && !demand; ++k)
+        demand = c.reads(k, true) > 0;
+    unsigned core = c.rrNext;
+    unsigned off = 0;
+    for (; off < n && c.reads(core, demand) == 0; ++off)
+        core = core + 1 == n ? 0 : core + 1;
+    SL_CHECK_AT(off < n, "dram", now,
+                "scheduler found no candidate in a nonempty read queue");
+    c.rrNext = core + 1 == n ? 0 : core + 1;
+
+    std::uint32_t left = c.reads(core, demand);
+    std::size_t pick = c.readQ.size();
+    for (std::size_t i = 0; i < c.readQ.size(); ++i) {
+        const QueuedReq& e = c.readQ[i];
+        if (static_cast<unsigned>(e.core) != core || e.demand != demand)
+            continue;
+        if (pick == c.readQ.size())
+            pick = i; // the core's oldest read of the class
+        if (rowHit(ch, e))
+            return i;
+        if (--left == 0)
+            break;
+    }
+    return pick;
 }
 
 void
@@ -291,13 +329,6 @@ Dram::tickChannel(unsigned ch, Cycle now)
          (c.writeQ.size() <= params_.writeDrainLow && !c.readQ.empty())))
         c.draining = false;
 
-    const std::size_t chBase =
-        static_cast<std::size_t>(ch) * banksPerChannel_;
-    auto row_hit = [&](const QueuedReq& e) {
-        const Bank& b = banks_[chBase + e.bank];
-        return b.rowValid && b.openRow == e.row;
-    };
-
     std::vector<QueuedReq>* q;
     std::size_t pick;
     if (c.draining || c.readQ.empty()) {
@@ -305,51 +336,14 @@ Dram::tickChannel(unsigned ch, Cycle now)
         q = &c.writeQ;
         pick = 0;
         for (std::size_t i = 0; i < q->size(); ++i) {
-            if (row_hit((*q)[i])) {
+            if (rowHit(ch, (*q)[i])) {
                 pick = i;
                 break;
             }
         }
     } else {
-        // Reads: demand class beats prefetch class; within the class,
-        // cores take round-robin turns (the cursor advances past the
-        // serviced core), and within a core's turn row hits go first,
-        // then FCFS.
         q = &c.readQ;
-        const bool any_demand = c.demandQueued > 0;
-        const unsigned n = params_.requestors;
-        // One pass over the queue collects, per core, the oldest
-        // winning-class entry and the oldest winning-class row hit;
-        // the rotation below then reads those instead of rescanning
-        // the queue once per core. Pick order is unchanged: within a
-        // core's turn the first row hit in FIFO order wins outright,
-        // else the core's oldest entry.
-        constexpr std::uint32_t kNone = ~std::uint32_t{0};
-        std::fill(firstIdx_.begin(), firstIdx_.end(), kNone);
-        std::fill(firstHitIdx_.begin(), firstHitIdx_.end(), kNone);
-        for (std::size_t i = 0; i < q->size(); ++i) {
-            const QueuedReq& e = (*q)[i];
-            if (e.demand != any_demand)
-                continue;
-            const auto core = static_cast<std::size_t>(e.core);
-            if (firstIdx_[core] == kNone)
-                firstIdx_[core] = static_cast<std::uint32_t>(i);
-            if (firstHitIdx_[core] == kNone && row_hit(e))
-                firstHitIdx_[core] = static_cast<std::uint32_t>(i);
-        }
-        pick = q->size();
-        for (unsigned off = 0; off < n && pick == q->size(); ++off) {
-            const std::size_t core = (c.rrNext + off) % n;
-            if (firstHitIdx_[core] != kNone)
-                pick = firstHitIdx_[core];
-            else if (firstIdx_[core] != kNone)
-                pick = firstIdx_[core];
-        }
-        SL_CHECK_AT(pick < q->size(), "dram", now,
-                    "scheduler found no candidate in a nonempty read "
-                    "queue");
-        c.rrNext = static_cast<std::uint32_t>(((*q)[pick].core + 1) %
-                                              static_cast<int>(n));
+        pick = pickRead(ch, now);
     }
 
     const QueuedReq e = (*q)[pick];
@@ -363,8 +357,7 @@ Dram::tickChannel(unsigned ch, Cycle now)
 
     if (e.req->kind != ReqKind::Writeback) {
         --queuedReads_;
-        if (e.demand)
-            --c.demandQueued;
+        --c.reads(e.core, e.demand);
         readQWaitCtr_ += now - e.arrival;
     }
     *coreBytes_[e.core] += kBlockBytes;
@@ -395,7 +388,8 @@ Dram::serializeState(Serializer& s, const SnapshotCtx& ctx)
              "snapshot DRAM geometry (" << nbanks << " banks, " << nchan
              << " channels) does not match this configuration ("
              << banks_.size() << ", " << busFreeAt_.size() << ")");
-    static_assert(std::is_trivially_copyable_v<Bank>);
+    static_assert(std::is_trivially_copyable_v<Bank> &&
+                  std::has_unique_object_representations_v<Bank>);
     s.io(banks_);
     s.io(busFreeAt_);
 
@@ -429,11 +423,21 @@ Dram::serializeState(Serializer& s, const SnapshotCtx& ctx)
         s.io(c.draining);
         s.io(c.tickArmed);
         s.io(c.rrNext);
-        if (s.loading()) { // derived: recount queued demand reads
-            c.demandQueued = 0;
-            for (const QueuedReq& e : c.readQ)
-                if (e.demand)
-                    ++c.demandQueued;
+        if (s.loading()) { // derived: recount queued reads by class
+            SL_CHECK(c.rrNext < params_.requestors, "dram",
+                     "snapshot round-robin cursor " << c.rrNext
+                         << " is past the " << params_.requestors
+                         << " requestors");
+            std::fill(c.classReads.begin(), c.classReads.end(), 0);
+            for (const QueuedReq& e : c.readQ) {
+                SL_CHECK(e.core >= 0 && static_cast<unsigned>(e.core) <
+                                            params_.requestors,
+                         "dram",
+                         "snapshot read queue entry for core " << e.core
+                             << " past the " << params_.requestors
+                             << " requestors");
+                ++c.reads(e.core, e.demand);
+            }
         }
     }
     if (!channels_.empty()) {

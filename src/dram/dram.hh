@@ -132,6 +132,7 @@ class Dram : public MemLevel
         Cycle readyAt = 0;
         std::uint32_t openRow = ~0u;
         bool rowValid = false;
+        std::uint8_t pad[3] = {}; //!< explicit, so snapshots are stable
     };
 
     /** One parked request in a channel's read or write queue. */
@@ -153,9 +154,16 @@ class Dram : public MemLevel
         bool draining = false;   //!< in a write-drain batch
         bool tickArmed = false;  //!< a DramTick event is pending
         std::uint32_t rrNext = 0; //!< round-robin core cursor
-        /** Queued demand reads in readQ. Replaces the per-tick
-         *  any-demand scan; recomputed from readQ on snapshot load. */
-        std::uint32_t demandQueued = 0;
+        /** Queued reads per core and class, [core * 2 + demand]: the
+         *  class and the turn are found from these without scanning
+         *  readQ. Recomputed from readQ on snapshot load. */
+        std::vector<std::uint32_t> classReads;
+
+        std::uint32_t&
+        reads(std::size_t core, bool demand)
+        {
+            return classReads[2 * core + demand];
+        }
     };
 
     struct Decoded
@@ -166,6 +174,19 @@ class Dram : public MemLevel
     };
 
     Decoded decode(Addr addr) const;
+
+    /** Read-queue index of @p ch's next read under FR-FCFS (DESIGN.md
+     *  §12); the channel's read queue must be nonempty. */
+    std::size_t pickRead(unsigned ch, Cycle now);
+
+    /** True when @p e, queued on channel @p ch, hits its bank's open row. */
+    bool
+    rowHit(unsigned ch, const QueuedReq& e) const
+    {
+        const Bank& b =
+            banks_[static_cast<std::size_t>(ch) * banksPerChannel_ + e.bank];
+        return b.rowValid && b.openRow == e.row;
+    }
 
     /** Commit bank/bus timing for one request at service time @p start;
      *  returns the completion cycle (shared by both disciplines). */
@@ -203,11 +224,6 @@ class Dram : public MemLevel
 
     // ---- scheduler state (sized only when params_.scheduled()) ----
     std::vector<Channel> channels_;
-    /** Per-core {oldest, oldest-row-hit} read-queue candidates, filled
-     *  by one pass over the queue per scheduling tick (scratch; sized
-     *  to requestors in scheduled mode, never serialized). */
-    std::vector<std::uint32_t> firstIdx_;
-    std::vector<std::uint32_t> firstHitIdx_;
     std::size_t queuedReads_ = 0;
     /** Per-requestor serviced-byte counters, registered eagerly at
      *  construction in scheduled mode ("core<i>_bytes"). */
@@ -227,16 +243,8 @@ class Dram : public MemLevel
     HotCounter prefetchReadsCtr_{stats_, "sched_prefetch_reads"};
     HotCounter writeDrainsCtr_{stats_, "sched_write_drains"};
     HotCounter readQWaitCtr_{stats_, "read_q_wait_cycles"};
-
-    /** Record a high-water mark under @p key (scheduled mode only, so
-     *  the eager registration never touches single-core digests). */
-    void
-    notePeak(const char* key, std::uint64_t v)
-    {
-        Counter& c = stats_.counter(key);
-        if (v > c.value())
-            c.set(v);
-    }
+    HotCounter readQPeakCtr_{stats_, "read_q_peak"};
+    HotCounter writeQPeakCtr_{stats_, "write_q_peak"};
 };
 
 } // namespace sl

@@ -31,7 +31,8 @@ class StridePrefetcher : public Prefetcher
     {
         (void)ctx;
         serializeBaseState(s);
-        static_assert(std::is_trivially_copyable_v<Entry>);
+        static_assert(std::is_trivially_copyable_v<Entry> &&
+                      std::has_unique_object_representations_v<Entry>);
         s.io(table_);
     }
 
@@ -43,6 +44,7 @@ class StridePrefetcher : public Prefetcher
         std::int64_t stride = 0;
         unsigned confidence = 0;
         bool valid = false;
+        std::uint8_t pad[3] = {}; //!< explicit, so snapshots are stable
     };
 
     unsigned degree_;

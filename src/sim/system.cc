@@ -286,10 +286,11 @@ System::run(std::uint64_t max_cycles)
         eq_.runUntil(cycle);
 
         // Finished cores still step: they replay their traces so the
-        // remaining cores keep seeing realistic contention.
+        // remaining cores keep seeing realistic contention. Cores blocked
+        // on memory are skipped until they can progress (stepAwake).
         bool progress = false;
         for (auto& c : cores_)
-            progress |= c->step(cycle);
+            progress |= c->stepAwake(cycle);
 
         // The hardening checks are interval-driven; keep the common
         // cycle down to two compares, with the heavy work (component

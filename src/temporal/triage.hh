@@ -116,7 +116,8 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
                 unlimitedStore_.emplace(k, v);
             }
         }
-        static_assert(std::is_trivially_copyable_v<TuEntry>);
+        static_assert(std::is_trivially_copyable_v<TuEntry> &&
+                      std::has_unique_object_representations_v<TuEntry>);
         s.io(tu_);
         s.io(lut_.regions);
         if (dataSampler_)
@@ -133,6 +134,7 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
         PC pc = 0;
         Addr lastBlock = 0;
         bool valid = false;
+        std::uint8_t pad[7] = {}; //!< explicit, so snapshots are stable
     };
 
     struct Lut

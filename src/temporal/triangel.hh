@@ -114,6 +114,7 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
         if (store_)
             store_->serializeState(s);
         static_assert(std::is_trivially_copyable_v<TuEntry> &&
+                      std::has_unique_object_representations_v<TuEntry> &&
                       std::is_trivially_copyable_v<HsEntry> &&
                       std::is_trivially_copyable_v<MrbEntry>);
         s.io(tu_);
@@ -140,9 +141,11 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     {
         PC pc = 0;
         bool valid = false;
+        std::uint8_t pad0[7] = {}; //!< explicit, so snapshots are stable
         Addr last = 0;       //!< most recent block
         Addr secondLast = 0; //!< one before (lookahead correlation source)
         bool lookahead = false;
+        std::uint8_t pad1[3] = {};
         int reuseConf = 8;   //!< 0..15; gate for storing correlations
         int patternConf = 8; //!< 0..15; sets the prefetch degree
         unsigned trainCount = 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "dram/dram.hh"
@@ -243,6 +244,145 @@ TEST_F(DramSchedFixture, CoresTakeRoundRobinTurns)
     EXPECT_EQ(order(), (std::vector<Addr>{at(0, 0), b0, a0, b1, a1}));
     EXPECT_EQ(dram.stats().get("core0_bytes"), 3 * kBlockBytes);
     EXPECT_EQ(dram.stats().get("core1_bytes"), 2 * kBlockBytes);
+}
+
+TEST_F(DramSchedFixture, AnotherCoresRowHitDoesNotTakeTheTurn)
+{
+    Dram dram(params, eq);
+    occupyBus(dram); // core 0 served, bank 0 row 0 open: core 1's turn
+    const Addr hit0 = at(0, 0, 1);
+    const Addr b0 = at(1, 0), b1 = at(2, 0);
+    issue(dram, hit0, ReqKind::DemandLoad, 0, 1);
+    issue(dram, b0, ReqKind::DemandLoad, 1, 2);
+    issue(dram, b1, ReqKind::DemandLoad, 1, 3);
+    drain(eq);
+    // Core 0's row hit waits out core 1's turn, which takes core 1's
+    // oldest read (neither of its reads hits an open row).
+    EXPECT_EQ(order(), (std::vector<Addr>{at(0, 0), b0, hit0, b1}));
+}
+
+TEST_F(DramSchedFixture, PrefetchOnlyCoreLosesTurnToNextDemandHolder)
+{
+    params.requestors = 3;
+    Dram dram(params, eq);
+    occupyBus(dram); // core 0 served: core 1's turn
+    const Addr d0 = at(1, 0), pf1 = at(2, 0), d2 = at(3, 0);
+    issue(dram, d0, ReqKind::DemandLoad, 0, 1);
+    issue(dram, pf1, ReqKind::Prefetch, 1, 2);
+    issue(dram, d2, ReqKind::DemandLoad, 2, 3);
+    drain(eq);
+    // Core 1 holds only a prefetch while demand reads wait, so the turn
+    // passes to core 2 (the next demand holder), not to the oldest
+    // demand read (core 0's); prefetches go once no demand waits.
+    EXPECT_EQ(order(), (std::vector<Addr>{at(0, 0), d2, d0, pf1}));
+}
+
+TEST_F(DramSchedFixture, CursorAdvancesPastTheServicedCore)
+{
+    params.requestors = 3;
+    Dram dram(params, eq);
+    occupyBus(dram); // core 0 served: the cursor points at core 1
+    const Addr c2a = at(1, 0), c2b = at(2, 0), d0 = at(3, 0);
+    issue(dram, c2a, ReqKind::DemandLoad, 2, 1);
+    issue(dram, c2b, ReqKind::DemandLoad, 2, 2);
+    issue(dram, d0, ReqKind::DemandLoad, 0, 3);
+    drain(eq);
+    // Core 1 has nothing, so core 2 is served; the cursor then moves
+    // past core 2 (to core 0), not one past where it started (core 2).
+    EXPECT_EQ(order(), (std::vector<Addr>{at(0, 0), c2a, d0, c2b}));
+}
+
+/**
+ * A scheduler snapshot taken between two ticks, with reads of both
+ * classes from both cores still queued, restores into a fresh Dram that
+ * picks the rest in the same order: the per-queue bookkeeping derived
+ * from the queues is rebuilt on load, not saved.
+ */
+TEST_F(DramSchedFixture, SnapshotBetweenTicksResumesTheSamePicks)
+{
+    Dram dram(params, eq);
+    occupyBus(dram); // core 0 served: core 1's turn
+    std::vector<MemRequest*> live;
+    auto queue = [&](Addr addr, ReqKind kind, int core, Cycle now) {
+        auto* r = new MemRequest;
+        r->addr = addr;
+        r->kind = kind;
+        r->coreId = core;
+        r->client = &client;
+        live.push_back(r);
+        dram.access(r, now);
+    };
+    queue(at(1, 0), ReqKind::Prefetch, 0, 1);
+    queue(at(0, 0, 1), ReqKind::DemandLoad, 0, 2);
+    queue(at(2, 0), ReqKind::Prefetch, 1, 3);
+    queue(at(3, 0), ReqKind::DemandLoad, 1, 4);
+    queue(at(3, 1), ReqKind::DemandLoad, 1, 5);
+    queue(at(4, 0), ReqKind::Writeback, 0, 6);
+    queue(at(5, 0), ReqKind::DemandLoad, 0, 7);
+    eq.runUntil(eq.nextCycle()); // one tick: services core 1's oldest
+
+    // Swizzle queued requests by their issue index; the restored side
+    // gets copies answering to its own client.
+    RecordingClient restoredClient;
+    std::vector<MemRequest*> copies;
+    for (const MemRequest* r : live) {
+        copies.push_back(new MemRequest(*r));
+        copies.back()->client = &restoredClient;
+    }
+    struct Maps
+    {
+        std::vector<MemRequest*>* live;
+        std::vector<MemRequest*>* copies;
+    } maps{&live, &copies};
+    SnapshotCtx ctx;
+    ctx.impl = &maps;
+    ctx.reqId = [](const SnapshotCtx& c, const void* p) {
+        const auto& v = *static_cast<Maps*>(c.impl)->live;
+        return static_cast<std::uint32_t>(
+            std::find(v.begin(), v.end(), p) - v.begin());
+    };
+    ctx.reqPtr = [](const SnapshotCtx& c, std::uint32_t id) {
+        return static_cast<void*>(
+            (*static_cast<Maps*>(c.impl)->copies)[id]);
+    };
+    Serializer save;
+    dram.serializeState(save, ctx);
+    Cycle tickAt = kNoCycle;
+    eq.forEachPending([&](Cycle when, const EventCallback& cb) {
+        if (cb.kind() == EventKind::DramTick)
+            tickAt = when;
+    });
+    ASSERT_NE(tickAt, kNoCycle);
+    const Cycle savedAt = eq.now();
+
+    drain(eq);
+    const std::vector<Addr> full = order();
+    ASSERT_EQ(full.size(), 8u); // X plus the seven requests queued
+    EXPECT_EQ(full[1], at(3, 0));
+
+    EventQueue eq2;
+    eq2.restoreClock(savedAt);
+    Dram restored(params, eq2);
+    Serializer load(save.buffer().data(), save.buffer().size());
+    restored.serializeState(load, ctx);
+    load.finish();
+    EventDesc d;
+    d.comp = &restored;
+    d.a = 0;
+    eq2.schedule(tickAt, EventCallback::make(EventKind::DramTick, d));
+    drain(eq2);
+
+    // The two requests serviced before the save answer only the
+    // original client; the rest must follow in the original order.
+    std::vector<Addr> rest;
+    for (const auto& [addr, cycle] : restoredClient.completions)
+        rest.push_back(addr);
+    EXPECT_EQ(rest, std::vector<Addr>(full.begin() + 2, full.end()));
+    EXPECT_EQ(restored.stats().counters().size(),
+              dram.stats().counters().size());
+    for (const auto& [key, c] : dram.stats().counters())
+        EXPECT_EQ(restored.stats().get(key), c.value()) << key;
+    delete copies[3]; // serviced before the save, so never restored
 }
 
 TEST_F(DramSchedFixture, WritesWaitForHighWatermarkOrIdleReads)

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -251,6 +252,47 @@ TEST(SnapshotFile, MultiCoreSharedMemoryRoundTrip)
     ASSERT_EQ(plain.dramCoreBytes.size(), 2u);
     EXPECT_GT(plain.dramCoreBytes[0] + plain.dramCoreBytes[1], 0u);
     std::remove(path.c_str());
+}
+
+/**
+ * Two saves of the same 2-core run write the same bytes, even when the
+ * second run's allocations reuse heap memory an earlier owner left
+ * full of junk: every struct serialized as raw bytes spells out its
+ * padding as zero-initialized fields.
+ */
+TEST(SnapshotFile, PayloadIsByteReproducibleOverReusedHeap)
+{
+    const std::string first = "sl_test_snapshot_bytes_a.bin";
+    const std::string second = "sl_test_snapshot_bytes_b.bin";
+    RunConfig cfg = smallConfig();
+    cfg.cores = 2;
+    const std::vector<std::string> w{"spec06_mcf", "gap_bfs"};
+    RunHooks save;
+    save.snapshotAt = 30'000;
+    save.snapshotPath = first;
+    runWorkloadsRaw(cfg, w, save);
+
+    // Two channels of eight 16-byte banks: fill and free heap chunks of
+    // the bank vector's size so the next run's vector is carved from
+    // 0xA5 junk rather than from fresh zeroed pages.
+    constexpr std::size_t kBankVectorBytes = 2 * 8 * 16;
+    std::vector<void*> junk;
+    for (int i = 0; i < 32; ++i) {
+        void* p = std::malloc(kBankVectorBytes);
+        std::memset(p, 0xA5, kBankVectorBytes);
+        asm volatile("" : : "r"(p) : "memory"); // keep the fill
+        junk.push_back(p);
+    }
+    for (void* p : junk)
+        std::free(p);
+
+    save.snapshotPath = second;
+    runWorkloadsRaw(cfg, w, save);
+    const std::vector<char> a = slurp(first), b = slurp(second);
+    ASSERT_FALSE(a.empty());
+    EXPECT_TRUE(a == b) << "snapshot payloads differ";
+    std::remove(first.c_str());
+    std::remove(second.c_str());
 }
 
 TEST(SnapshotFile, MissingFileThrows)

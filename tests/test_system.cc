@@ -174,6 +174,16 @@ TEST(GoldenRuns, MatchPinnedDigests)
         golden::expectMatches(g);
 }
 
+// The shared memory system (FR-FCFS DRAM, LLC lanes, pressure-gated
+// prefetch, cores stepped only when they can progress) at 2, 4 and 8
+// cores: per-core IPC and bytes, scheduler and pressure counters, and
+// the digest of every component's stat map.
+TEST(GoldenRuns, MultiCoreMatchPinnedValues)
+{
+    for (const golden::MultiCoreRow& g : golden::kMultiCoreRows)
+        golden::expectMultiCoreMatches(g);
+}
+
 // ---------- Table I partition-scheme model ----------
 
 TEST(PartitionSchemes, EnumeratesAllEight)
