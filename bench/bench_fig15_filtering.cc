@@ -3,8 +3,8 @@
  * Fig 15: mitigating filtering coverage loss at small partitions.
  * Compares, at small fixed partition sizes: filtering with no mitigation,
  * + stream realignment, + skewed indexing, and hybrid partitioning
- * (half the sets, half the ways), against an unfiltered reference
- * (the same capacity with no filtering loss, via the ideal store).
+ * (half the sets, half the ways). Each column is a speedup over the
+ * stride-L1D baseline.
  */
 
 #include <cstdio>

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -201,8 +200,7 @@ runBatch(const std::vector<ExperimentSpec>& specs_in)
     JsonReport::instance().record(specs, results);
     for (const auto& jr : results) {
         if (!jr.ok) {
-            if (std::ofstream out(reproBundlePath()); out)
-                out << jr.reproBundle;
+            writeReproBundle(jr.reproBundle);
             throw *jr.error;
         }
     }

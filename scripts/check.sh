@@ -10,10 +10,20 @@
 #   scripts/check.sh resilience # hang timeout, manifest resume, fault campaign
 #   scripts/check.sh multicore  # 2-, 4- and 8-core ASan smoke
 #   scripts/check.sh sampling   # sampled runs: ASan smoke + fidelity/speed
+#   scripts/check.sh identity REV  # nothing simulated moved since REV
 #
 # The modes after `sanitize` add what ctest cannot cover: runs of the
 # sl_run CLI and wall-clock gates. Unit and golden-digest tests belong
 # in ctest, which the plain and sanitize modes already run.
+#
+# `identity REV` is for changes that claim to move no simulated result
+# (refactors, deletions, host-speed work). It exports REV with `git
+# archive` into build-identity/, builds REV and the working tree in
+# Release, then requires byte-identical `SL_DUMP_STATS=1 sl_run` output
+# on a fixed cell list (1, 4 and 8 cores, both ideal modes, a berti L1,
+# telemetry on) and equal figure-bench ==JSON== at SL_BENCH_SCALE=0.05
+# SL_MIX_COUNT=2 once wall_seconds and threads are dropped. It needs a
+# second build, so `all` leaves it out.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -372,6 +382,91 @@ multicore() {
     echo "2-, 4- and 8-core ASan smoke mixes green"
 }
 
+# Identity stage: see the header. Every cell and bench runs on both
+# builds; the first difference fails the stage with a diff excerpt.
+identity() {
+    local rev="$1" dir=build-identity side f
+    local benches=()
+    for f in bench/bench_fig*.cc; do
+        f="${f#bench/}"
+        benches+=("${f%.cc}")
+    done
+    echo "== identity: ${rev} vs working tree =="
+    rm -rf "${dir}/src"
+    mkdir -p "${dir}/src"
+    git archive "${rev}" | tar -x -C "${dir}/src"
+    cmake -B "${dir}/rev" -S "${dir}/src" -DCMAKE_BUILD_TYPE=Release
+    cmake -B "${dir}/head" -S . -DCMAKE_BUILD_TYPE=Release
+    for side in rev head; do
+        cmake --build "${dir}/${side}" -j "$(nproc)" --target sl_run \
+            "${benches[@]}"
+    done
+
+    local mix4=spec06_mcf,spec06_xalancbmk,spec06_soplex,gap_pr
+    local cells=(
+        "--l2 none --scale 0.5 gap_pr"
+        "--l2 triage --scale 0.5 gap_sssp"
+        "--l2 streamline --scale 0.5 spec06_mcf"
+        "--l2 triage --scale 0.5 spec06_mcf"
+        "--l2 triangel --scale 0.5 spec06_mcf"
+        "--l2 triage_ideal --scale 0.5 spec06_mcf"
+        "--l2 triangel_ideal --scale 0.5 spec06_mcf"
+        "--l1 berti --l2 streamline --scale 0.25 spec06_mcf"
+        "--l2 none --scale 0.25 --mix ${mix4}"
+        "--l2 streamline --scale 0.25 --mix ${mix4}"
+        "--l2 triangel --scale 0.25 --mix ${mix4}"
+        "--l2 streamline --cores 8 --scale 0.05 gap_pr"
+        "--l2 streamline --scale 0.25 --telemetry spec06_mcf"
+    )
+    local i=0 cell
+    for cell in "${cells[@]}"; do
+        for side in rev head; do
+            # Word splitting is intended: a cell is an argument list.
+            # shellcheck disable=SC2086
+            SL_DUMP_STATS=1 "${dir}/${side}/src/sim/sl_run" ${cell} \
+                > "${dir}/cell${i}.${side}.out"
+        done
+        if ! cmp -s "${dir}/cell${i}.rev.out" "${dir}/cell${i}.head.out"
+        then
+            echo "FAIL: sl_run ${cell}: output differs from ${rev}"
+            diff "${dir}/cell${i}.rev.out" "${dir}/cell${i}.head.out" |
+                head -20 || true
+            exit 1
+        fi
+        echo "identical: sl_run ${cell}"
+        i=$((i + 1))
+    done
+
+    local b
+    for b in "${benches[@]}"; do
+        for side in rev head; do
+            SL_BENCH_SCALE=0.05 SL_MIX_COUNT=2 \
+                "${dir}/${side}/bench/${b}" > "${dir}/${b}.${side}.out"
+        done
+        python3 - "${dir}/${b}.rev.out" "${dir}/${b}.head.out" <<'EOF'
+import json, sys
+
+def load(path):
+    text = open(path).read()
+    doc = json.loads(text.split("==JSON==")[1].split("==END-JSON==")[0])
+    def strip(v):
+        if isinstance(v, dict):
+            return {k: strip(x) for k, x in v.items()
+                    if k not in ("wall_seconds", "threads")}
+        if isinstance(v, list):
+            return [strip(x) for x in v]
+        return v
+    return strip(doc)
+
+if load(sys.argv[1]) != load(sys.argv[2]):
+    print(f"FAIL: {sys.argv[2]}: ==JSON== differs from {sys.argv[1]}")
+    sys.exit(1)
+print(f"identical: {sys.argv[2].rsplit('/', 1)[-1]} ==JSON==")
+EOF
+    done
+    echo "identity: nothing simulated moved since ${rev}"
+}
+
 case "${MODE}" in
   plain)    run_mode plain build -DCMAKE_CXX_FLAGS=-Werror; bench_smoke build; resilience build ;;
   sanitize) run_mode asan+ubsan build-asan -DSL_SANITIZE=ON ;;
@@ -384,6 +479,13 @@ case "${MODE}" in
     cmake -B build-asan -S . -DSL_SANITIZE=ON
     sampling build build-asan
     ;;
+  identity)
+    if [ -z "${2:-}" ]; then
+        echo "usage: $0 identity REV" >&2
+        exit 2
+    fi
+    identity "$2"
+    ;;
   all)
     run_mode plain build -DCMAKE_CXX_FLAGS=-Werror
     bench_smoke build
@@ -395,6 +497,7 @@ case "${MODE}" in
     simspeed build
     ;;
   *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|sampling|all]" >&2
+     echo "       $0 identity REV" >&2
      exit 2 ;;
 esac
 

@@ -10,7 +10,7 @@ namespace sl
 {
 
 StreamlinePrefetcher::StreamlinePrefetcher(const StreamlineConfig& cfg)
-    : Prefetcher("streamline"), cfg_(cfg), tu_(cfg.tuEntries)
+    : Prefetcher("streamline"), cfg_(cfg), tu_(kTuEntries)
 {
     assert(cfg.streamLength >= 2 && cfg.streamLength <= kMaxStreamLength);
 }
@@ -23,7 +23,7 @@ StreamlinePrefetcher::attach(Cache* owner, Cache* llc, EventQueue* eq,
 
     StreamStoreParams sp;
     sp.sets = metadataSets();
-    sp.ways = cfg_.metaWaysPerSet;
+    sp.ways = kMetaWaysPerSet;
     sp.streamLength = cfg_.streamLength;
     sp.partialTagBits = cfg_.partialTagBits;
     sp.tagged = cfg_.taggedSetPartition;
@@ -37,16 +37,13 @@ StreamlinePrefetcher::attach(Cache* owner, Cache* llc, EventQueue* eq,
     const double corr_scale =
         static_cast<double>(std::min<std::uint32_t>(64, sp.sets)) /
         sp.sampledSets;
-    uadp_.emplace(sp.sets, llc_->ways(), cfg_.metaWaysPerSet,
-                  cfg_.triangelPartitioner, corr_scale);
+    uadp_.emplace(sp.sets, llc_->ways(), kMetaWaysPerSet, corr_scale);
 
-    if (cfg_.ideal)
-        store_->setAllocation(1, cfg_.metaWaysPerSet);
-    else if (cfg_.fixedDen > 0)
+    if (cfg_.fixedDen > 0)
         store_->setAllocation(cfg_.fixedDen, cfg_.fixedWays);
     else // UADP starts at the half-size partition
         store_->setAllocation(denQuarters(startingAllocation(2)),
-                              cfg_.metaWaysPerSet);
+                              kMetaWaysPerSet);
 }
 
 StreamlinePrefetcher::TuEntry&
@@ -109,7 +106,7 @@ StreamlinePrefetcher::onAccess(const AccessInfo& info)
     TuEntry& tu = tuFor(info.pc);
 
     ++tu.epochAccesses;
-    if (cfg_.degreeControl && tu.epochAccesses >= cfg_.degreeEpoch)
+    if (tu.epochAccesses >= cfg_.degreeEpoch)
         rollDegreeEpoch(tu);
 
     trainOn(tu, block, info.cycle);
@@ -117,14 +114,14 @@ StreamlinePrefetcher::onAccess(const AccessInfo& info)
 
     // Dynamic partitioning epoch (§IV-E4), with the shared-LLC release
     // policy (prefetcher.hh) deciding between and at UADP's epochs.
-    if (!cfg_.ideal && cfg_.fixedDen == 0) {
+    if (cfg_.fixedDen == 0) {
         const unsigned held = denQuarters(store_->allocationDen());
         const unsigned q =
             uadp_->shouldResize()
                 ? pressureAtEpoch(denQuarters(uadp_->pickDenominator()),
                                   held)
                 : pressureBetweenEpochs(held, 4); // 4/4: full store
-        applyAllocation(denQuarters(q), cfg_.metaWaysPerSet, info.cycle);
+        applyAllocation(denQuarters(q), kMetaWaysPerSet, info.cycle);
     }
 }
 
@@ -228,7 +225,7 @@ StreamlinePrefetcher::writeEntry(TuEntry& tu, const StreamEntry& e,
                                  Cycle now, bool allow_realign)
 {
     // A released store bills no LLC metadata ports.
-    const bool bill = !cfg_.ideal && !released(store_->allocationDen());
+    const bool bill = !released(store_->allocationDen());
     InsertOutcome out = store_->insert(e, tu.pc);
 
     if (out == InsertOutcome::Filtered && allow_realign &&
@@ -295,8 +292,7 @@ StreamlinePrefetcher::bufferFind(const TuEntry& tu, Addr block,
 void
 StreamlinePrefetcher::issuePrefetches(TuEntry& tu, Addr block, Cycle now)
 {
-    const unsigned degree =
-        cfg_.degreeControl ? tu.degree : cfg_.maxDegree;
+    const unsigned degree = tu.degree;
     // A released store walks the chain for the utility measurement but
     // issues nothing (see Prefetcher::released).
     const bool suppress = released(store_->allocationDen());
@@ -325,9 +321,8 @@ StreamlinePrefetcher::issuePrefetches(TuEntry& tu, Addr block, Cycle now)
             // Metadata read from the LLC partition (§IV-E7 step 3).
             // A released store's sampled sets read as shadow tags at
             // fixed latency -- no shared LLC port traffic.
-            t = cfg_.ideal || suppress
-                    ? t + llc_->latency()
-                    : llc_->metadataAccess(false, t);
+            t = suppress ? t + llc_->latency()
+                         : llc_->metadataAccess(false, t);
             ++tu.epochInsertions;
             auto fetched = store_->lookupAt(ref, cursor);
             if (!fetched) {

@@ -9,8 +9,8 @@
  * (tp_mockingjay.hh), sizes its partition with utility-aware set dueling
  * (uadp.hh), and sets per-PC degree from stream stability (§IV-E6).
  *
- * Every mechanism is individually switchable so the Fig 12/13/14/15
- * sweeps and ablations run through this one class.
+ * Every mechanism a figure ablates or sweeps (Figs 10f and 12-15) is a
+ * config switch, so those experiments run through this one class.
  */
 
 #ifndef SL_CORE_STREAMLINE_HH
@@ -27,22 +27,22 @@
 namespace sl
 {
 
-/** All of Streamline's knobs. Defaults are the paper's configuration. */
+/**
+ * Streamline's experiment knobs. Defaults are the paper's configuration;
+ * fixed hardware sizes are constants of StreamlinePrefetcher.
+ */
 struct StreamlineConfig
 {
     unsigned streamLength = 4;      //!< Fig 12a sweeps 2..16
     unsigned bufferEntries = 3;     //!< Fig 12c sweeps 1..6
-    unsigned tuEntries = 256;
     unsigned maxDegree = 4;         //!< Fig 10f sweeps 1..8
 
     bool enableBuffer = true;       //!< MB  (Fig 14)
     bool enableAlignment = true;    //!< SA  (Fig 14)
     bool taggedSetPartition = true; //!< TSP (Fig 14)
     bool useTpMockingjay = true;    //!< TP-MJ (Fig 14 / Fig 13c)
-    bool degreeControl = true;      //!< stability-based degree (§IV-E6)
     bool realignment = true;        //!< §IV-C / Fig 15
     bool skewedIndexing = false;    //!< Fig 15
-    bool triangelPartitioner = false; //!< §V-D3 comparison
 
     /**
      * Fixed allocation (Fig 13a/b, Fig 15 sweeps): setDen > 0 pins the
@@ -52,19 +52,19 @@ struct StreamlineConfig
     unsigned fixedDen = 0;
     unsigned fixedWays = 8;
 
-    /** Dedicated store outside the LLC: no capacity loss, fixed-latency
-     *  metadata access, full allocation (diagnostic / Fig 13a analog). */
-    bool ideal = false;
-
-    unsigned metaWaysPerSet = 8;    //!< §IV-B3: half the LLC's 16 ways
-    unsigned partialTagBits = 6;    //!< §V-D5
-    unsigned degreeEpoch = 1024;    //!< §IV-E6
+    unsigned partialTagBits = 6;    //!< §V-D5 (bench_aliasing sweeps)
+    /** Per-PC degree epoch in accesses (§IV-E6); tests shorten it. */
+    unsigned degreeEpoch = 1024;
 };
 
 /** The Streamline prefetcher. Attach to an L2; metadata lives in the LLC. */
 class StreamlinePrefetcher : public Prefetcher, public PartitionPolicy
 {
   public:
+    static constexpr unsigned kTuEntries = 256;
+    /** Ways of an allocated metadata set (§IV-B3: half the LLC's 16). */
+    static constexpr unsigned kMetaWaysPerSet = 8;
+
     explicit StreamlinePrefetcher(const StreamlineConfig& cfg = {});
 
     void attach(Cache* owner, Cache* llc, EventQueue* eq, int core_id,
@@ -73,24 +73,13 @@ class StreamlinePrefetcher : public Prefetcher, public PartitionPolicy
     void onAccess(const AccessInfo& info) override;
 
     void
-    setFaultInjector(FaultInjector* f) override
-    {
-        Prefetcher::setFaultInjector(f);
-        if (store_)
-            store_->setFaultInjector(f);
-    }
-
-    void
     audit(Cycle now) const override
     {
         if (store_)
             store_->audit(now);
     }
 
-    const PartitionPolicy* partitionPolicy() const override
-    {
-        return cfg_.ideal ? nullptr : this;
-    }
+    const PartitionPolicy* partitionPolicy() const override { return this; }
 
     unsigned
     reservedWays(std::uint32_t set) const override
@@ -131,8 +120,6 @@ class StreamlinePrefetcher : public Prefetcher, public PartitionPolicy
 
     /** Correlation hit rate (buffer + store hits over lookups). */
     double correlationHitRate() const;
-
-    const StreamlineConfig& config() const { return cfg_; }
 
     void
     serializeState(Serializer& s, const SnapshotCtx& ctx) override

@@ -8,10 +8,8 @@ namespace sl
 UtilityPartitioner::UtilityPartitioner(std::uint32_t sets,
                                        unsigned llc_ways,
                                        unsigned meta_ways,
-                                       bool triangel_scoring,
                                        double corr_scale)
     : llcWays_(llc_ways), metaWays_(meta_ways),
-      triangelScoring_(triangel_scoring),
       dataSampler_(std::min<std::uint32_t>(64, sets), sets, llc_ways),
       corrScale_(corr_scale), stats_("uadp")
 {
@@ -89,12 +87,11 @@ UtilityPartitioner::pickDenominator()
     // indexing (triggers hash uniformly over sets); corrScale_ normalises
     // the narrower metadata sample onto the data sampler's basis.
     const double potential = corrScale_ * sampledCorrHits_;
-    const unsigned w = triangelScoring_ ? 16 : weight_;
 
     const double score_off = 16.0 * (deep + shallow);
     const double score_half =
-        16.0 * (deep + shallow * 0.5) + w * potential * 0.5;
-    const double score_full = 16.0 * deep + w * potential;
+        16.0 * (deep + shallow * 0.5) + weight_ * potential * 0.5;
+    const double score_full = 16.0 * deep + weight_ * potential;
 
     dataSampler_.reset();
     sampledCorrHits_ = 0;

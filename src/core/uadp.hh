@@ -29,17 +29,12 @@ class UtilityPartitioner
      * @param sets virtual LLC sets of the metadata store
      * @param llc_ways LLC associativity (16)
      * @param meta_ways ways an allocated metadata set loses (8)
-     * @param triangel_scoring score all hits equally (the §V-D3
-     *        Triangel-partitioner comparison)
-     */
-    /**
      * @param corr_scale multiplier putting sampled correlation hits on
      *        the same sampling basis as the 64-set data sampler (the
      *        permanent metadata sample covers fewer sets)
      */
     UtilityPartitioner(std::uint32_t sets, unsigned llc_ways,
-                       unsigned meta_ways, bool triangel_scoring = false,
-                       double corr_scale = 1.0);
+                       unsigned meta_ways, double corr_scale = 1.0);
 
     /** Feed an L2-miss data access (the stream that reaches the LLC). */
     void onDataAccess(std::uint32_t set, Addr block);
@@ -62,9 +57,6 @@ class UtilityPartitioner
 
     /** Current accuracy-bucket weight (2..8; paper §IV-E4). */
     unsigned accuracyWeight() const { return weight_; }
-
-    /** Measured global prefetch accuracy of the last complete epoch. */
-    double lastAccuracy() const { return lastAccuracy_; }
 
     StatGroup& stats() { return stats_; }
 
@@ -90,7 +82,6 @@ class UtilityPartitioner
 
     unsigned llcWays_;
     unsigned metaWays_;
-    bool triangelScoring_;
 
     LruStackSampler dataSampler_;
     double corrScale_;
@@ -100,7 +91,7 @@ class UtilityPartitioner
     // Accuracy tracking in 2048-prefetch epochs.
     std::uint64_t issuedThisEpoch_ = 0;
     std::uint64_t usefulThisEpoch_ = 0;
-    double lastAccuracy_ = 0.0;
+    double lastAccuracy_ = 0.0; //!< kept in snapshots (format v6)
     unsigned weight_ = 4;
 
     StatGroup stats_;

@@ -53,10 +53,11 @@ class Prefetcher : public CacheListener
 
     /**
      * Attach the system's fault injector (null = no faults). Called by
-     * the System builder after attach(); temporal prefetchers forward it
-     * to their metadata stores so lookups can return corrupted targets.
+     * the System builder before attach(), where temporal prefetchers
+     * hand it to their metadata stores so lookups can return corrupted
+     * targets.
      */
-    virtual void setFaultInjector(FaultInjector* f) { faults_ = f; }
+    void setFaultInjector(FaultInjector* f) { faults_ = f; }
 
     /**
      * Audit internal invariants (metadata-store size bounds and entry

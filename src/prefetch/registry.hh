@@ -3,11 +3,11 @@
  * String-keyed prefetcher registry.
  *
  * Every prefetcher self-registers a name, the cache levels it can attach
- * to, and a factory hook that receives the run's tuning knobs (the
- * config-override point: "triage_ideal" is "triage" with `unlimited`
- * forced on). The experiment layer builds prefetchers purely by name, so
- * adding a new scheme is one registration call next to its class — no
- * enum edits, no switch statements in the runner.
+ * to, and a factory hook that receives the run's tuning knobs. A name
+ * may fix a constructor flag: "triage_ideal" is "triage" built with
+ * unlimited metadata. The experiment layer builds prefetchers purely by
+ * name, so adding a new scheme is one registration call next to its
+ * class — no enum edits, no switch statements in the runner.
  */
 
 #ifndef SL_PREFETCH_REGISTRY_HH
@@ -25,7 +25,6 @@ namespace sl
 
 struct StreamlineConfig;
 struct TriangelConfig;
-struct TriageConfig;
 
 /**
  * Per-run tuning knobs handed to a registered factory hook. Pointers are
@@ -37,7 +36,6 @@ struct PrefetcherTuning
 {
     const StreamlineConfig* streamline = nullptr;
     const TriangelConfig* triangel = nullptr;
-    const TriageConfig* triage = nullptr;
 };
 
 /**

@@ -76,8 +76,6 @@ runOne(const ExperimentSpec& spec, const BatchOptions& opts,
     if (opts.jobTimeoutSec > 0) {
         hooks.wallTimeoutSec = opts.jobTimeoutSec;
         hooks.timeoutSnapshotPath =
-            (opts.snapshotDir.empty() ? std::string()
-                                      : opts.snapshotDir + "/") +
             "sl_snapshot_hang_job" + std::to_string(job_index) + ".bin";
     }
 
@@ -271,19 +269,13 @@ tuningKey(const RunConfig& cfg)
         os << ';';
     };
     const StreamlineConfig& s = cfg.streamline;
-    put("streamline", s.streamLength, s.bufferEntries, s.tuEntries,
-        s.maxDegree, s.enableBuffer, s.enableAlignment,
-        s.taggedSetPartition, s.useTpMockingjay, s.degreeControl,
-        s.realignment, s.skewedIndexing, s.triangelPartitioner,
-        s.fixedDen, s.fixedWays, s.ideal, s.metaWaysPerSet,
-        s.partialTagBits, s.degreeEpoch);
+    put("streamline", s.streamLength, s.bufferEntries, s.maxDegree,
+        s.enableBuffer, s.enableAlignment, s.taggedSetPartition,
+        s.useTpMockingjay, s.realignment, s.skewedIndexing, s.fixedDen,
+        s.fixedWays, s.partialTagBits, s.degreeEpoch);
     const TriangelConfig& t = cfg.triangel;
-    put(" triangel", t.maxDegree, t.tuEntries, t.maxWays,
-        t.resizeInterval, t.mrbEntries, t.hsEntries, t.scsEntries,
-        t.ideal, t.useTpMockingjay);
-    const TriageConfig& g = cfg.triage;
-    put(" triage", g.degree, g.tuEntries, g.maxWays, g.resizeInterval,
-        g.unlimited);
+    put(" triangel", t.maxDegree, t.maxWays, t.resizeInterval,
+        t.useTpMockingjay);
     return os.str();
 }
 

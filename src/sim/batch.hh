@@ -80,13 +80,12 @@ struct BatchOptions
     std::string manifestPath;
     /**
      * Per-job wall-clock budget in seconds (0 = unlimited). A job over
-     * budget first snapshots itself (sl_snapshot_hang_job<i>.bin under
-     * snapshotDir) and then fails with SimError("job_timeout") -- it is
-     * journalled as failed, not wedged forever.
+     * budget first snapshots itself (sl_snapshot_hang_job<i>.bin in the
+     * working directory) and then fails with SimError("job_timeout") --
+     * it is journalled as failed, not wedged forever.
      */
     double jobTimeoutSec = 0;
     unsigned maxRetries = 0;   //!< extra attempts for a failed job
-    std::string snapshotDir;   //!< where hang snapshots land ("" = cwd)
 };
 
 /**
@@ -133,8 +132,8 @@ std::string jobDigest(const ExperimentSpec& spec);
 std::string toJson(const RunConfig& cfg);
 
 /**
- * The prefetcher tuning structs (RunConfig::streamline, triangel and
- * triage) as text. toJson(RunConfig) leaves them out, so bench
+ * The prefetcher tuning structs (RunConfig::streamline and triangel) as
+ * text. toJson(RunConfig) leaves them out, so bench
  * `==JSON==` blocks do not change with them; the identity digests
  * (jobDigest, snapshotDigest and the checkpoint names built on it) must
  * include them, or a differently tuned run would resume another's

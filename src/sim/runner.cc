@@ -30,7 +30,6 @@ tuningFor(const RunConfig& cfg)
     PrefetcherTuning t;
     t.streamline = &cfg.streamline;
     t.triangel = &cfg.triangel;
-    t.triage = &cfg.triage;
     return t;
 }
 
@@ -126,6 +125,7 @@ formatReproBundle(const RunConfig& cfg,
        << ")\n";
     os << "l1_prefetcher = " << cfg.l1 << "\n";
     os << "l2_prefetcher = " << cfg.l2 << "\n";
+    os << "tuning = " << tuningKey(cfg) << "\n";
     os << "dram_mts = " << cfg.dramMTs << "\n";
     os << "fault.seed = " << cfg.faults.seed << "\n";
     os << "fault.metadata_bit_flip_rate = "
@@ -156,6 +156,13 @@ reproBundlePath()
     if (const char* p = std::getenv("SL_REPRO_PATH"))
         return p;
     return "sl_repro_bundle.txt";
+}
+
+void
+writeReproBundle(const std::string& bundle)
+{
+    if (std::ofstream out(reproBundlePath()); out)
+        out << bundle;
 }
 
 std::string
@@ -328,8 +335,7 @@ runWorkloads(const RunConfig& cfg,
     } catch (const SimError& err) {
         // Serialize everything needed to replay the failure, then let
         // the error propagate to the caller.
-        if (std::ofstream out(reproBundlePath()); out)
-            out << formatReproBundle(cfg, workloads, err);
+        writeReproBundle(formatReproBundle(cfg, workloads, err));
         throw;
     }
 }
@@ -375,8 +381,7 @@ irregularSubset(double scale)
     for (std::size_t i = 0; i < names.size(); ++i) {
         for (const JobResult* j : {&jobs[2 * i], &jobs[2 * i + 1]}) {
             if (!j->ok) {
-                if (std::ofstream out(reproBundlePath()); out)
-                    out << j->reproBundle;
+                writeReproBundle(j->reproBundle);
                 throw *j->error;
             }
         }
@@ -903,8 +908,7 @@ runnerMain(int argc, char** argv)
         try {
             res = runWorkloadsRaw(cfg, workloads, hooks);
         } catch (const SimError& err) {
-            if (std::ofstream out(reproBundlePath()); out)
-                out << formatReproBundle(cfg, workloads, err);
+            writeReproBundle(formatReproBundle(cfg, workloads, err));
             throw;
         }
         for (std::size_t c = 0; c < res.cores.size(); ++c) {

@@ -15,7 +15,6 @@
 
 #include "core/streamline.hh"
 #include "sim/system.hh"
-#include "temporal/triage.hh"
 #include "temporal/triangel.hh"
 #include "trace/workloads.hh"
 
@@ -30,7 +29,6 @@ struct RunConfig
     std::string l2 = "none";     //!< L2 prefetcher registry name
     StreamlineConfig streamline; //!< used by the "streamline" factory
     TriangelConfig triangel;     //!< used by the "triangel*" factories
-    TriageConfig triage;         //!< used by the "triage*" factories
     unsigned dramMTs = 3200;
     double traceScale = -1.0;    //!< <=0: SL_TRACE_SCALE default
     std::uint64_t seed = 1;
@@ -217,9 +215,10 @@ std::string snapshotDigest(const RunConfig& cfg,
 
 /**
  * The text serialized on a tripped run: everything needed to replay it
- * bit-identically (seed, workloads, trace scale, prefetcher selection,
- * fault config) plus the error's component/cycle/diagnostics. Exposed
- * separately so tests can assert on the content without filesystem I/O.
+ * bit-identically (seed, workloads, trace scale, prefetcher selection
+ * and tuning, fault config) plus the error's component/cycle/diagnostics.
+ * Exposed separately so tests can assert on the content without
+ * filesystem I/O.
  */
 std::string formatReproBundle(const RunConfig& cfg,
                               const std::vector<std::string>& workloads,
@@ -227,6 +226,9 @@ std::string formatReproBundle(const RunConfig& cfg,
 
 /** Where runWorkloads writes the bundle ($SL_REPRO_PATH or default). */
 std::string reproBundlePath();
+
+/** Write @p bundle (formatReproBundle text) to reproBundlePath(). */
+void writeReproBundle(const std::string& bundle);
 
 /** Single-core convenience wrapper. */
 RunResult runWorkload(const RunConfig& cfg, const std::string& workload);

@@ -53,14 +53,6 @@ struct TelemetryConfig
     /** Cycles between interval samples. */
     Cycle intervalCycles = 100'000;
 
-    /**
-     * Interval-ring capacity. The ring is reserved up front so sampling
-     * never allocates; once full, the oldest record is overwritten and
-     * droppedIntervals() counts the loss (exporters surface it too — a
-     * truncated time-series must not read as a complete one).
-     */
-    std::size_t maxIntervals = 4096;
-
     std::string jsonlPath; //!< per-interval JSONL dump ("" = don't write)
     std::string csvPath;   //!< per-interval CSV dump ("" = don't write)
     std::string tracePath; //!< Chrome trace-event JSON ("" = don't write)
@@ -79,9 +71,6 @@ struct TelemetryConfig
     {
         SL_REQUIRE(!enabled || intervalCycles > 0, "telemetry_config",
                    "intervalCycles must be nonzero when telemetry is "
-                   "enabled");
-        SL_REQUIRE(!enabled || maxIntervals > 0, "telemetry_config",
-                   "maxIntervals must be nonzero when telemetry is "
                    "enabled");
     }
 };
@@ -400,8 +389,16 @@ class Telemetry
     /** Latency histograms: 32 log2 buckets cover 0..2^30+ cycles. */
     using LatencyHistogram = Histogram<32>;
 
+    /**
+     * Interval-ring capacity. The ring is reserved up front so sampling
+     * never allocates; once full, the oldest record is overwritten and
+     * droppedIntervals() counts the loss (exporters surface it too — a
+     * truncated time-series must not read as a complete one).
+     */
+    static constexpr std::size_t kMaxIntervals = 4096;
+
     explicit Telemetry(const TelemetryConfig& cfg)
-        : sampler(cfg.intervalCycles, cfg.maxIntervals), cfg_(cfg)
+        : sampler(cfg.intervalCycles, kMaxIntervals), cfg_(cfg)
     {
         cfg_.validate();
         incidents_.reserve(64);
@@ -409,8 +406,6 @@ class Telemetry
 
     Telemetry(const Telemetry&) = delete;
     Telemetry& operator=(const Telemetry&) = delete;
-
-    const TelemetryConfig& config() const { return cfg_; }
 
     IntervalSampler sampler;
 

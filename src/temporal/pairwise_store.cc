@@ -1,40 +1,25 @@
 #include "temporal/pairwise_store.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/hash.hh"
 
 namespace sl
 {
 
-namespace
-{
-
-/** Smallest power of two >= @p v (v must be nonzero). */
-std::uint32_t
-ceilPow2(std::uint32_t v)
-{
-    std::uint32_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
-} // namespace
-
 PairwiseStore::PairwiseStore(const PairwiseStoreParams& params)
     : params_(params), ways_(params.maxWays), stats_("pairwise_store")
 {
-    SL_REQUIRE(params_.sets > 0, "pairwise_store",
-               "store needs at least one set");
+    // Powers of two turn the per-access modulo chain into masks over a
+    // single hash; every LLC geometry SystemConfig accepts is one.
+    SL_REQUIRE(std::has_single_bit(params_.sets), "pairwise_store",
+               "set count must be a power of two, got " << params_.sets);
     SL_REQUIRE(params_.maxWays > 0, "pairwise_store",
                "store needs at least one way");
     SL_REQUIRE(params_.entriesPerBlock > 0, "pairwise_store",
                "store needs at least one entry per block");
 
-    // Power-of-two shim: every real LLC geometry already is one, and it
-    // turns the per-access modulo chain into masks over a single hash.
-    params_.sets = ceilPow2(params_.sets);
     setMask_ = params_.sets - 1;
     if (params_.sampledSets == 0) {
         // Nothing sampled: (set & 0) == 1 is never true.
@@ -46,11 +31,11 @@ PairwiseStore::PairwiseStore(const PairwiseStoreParams& params)
         sampledMask_ = 0;
         sampledMatch_ = 0;
     } else {
-        params_.sampledSets = ceilPow2(params_.sampledSets);
-        const std::uint32_t stride = params_.sets / params_.sampledSets;
-        SL_REQUIRE((stride & (stride - 1)) == 0, "pairwise_store",
-                   "sampled-set stride must be a power of two");
-        sampledMask_ = stride - 1;
+        SL_REQUIRE(std::has_single_bit(params_.sampledSets),
+                   "pairwise_store",
+                   "sampled-set count must be a power of two, got "
+                       << params_.sampledSets);
+        sampledMask_ = params_.sets / params_.sampledSets - 1;
         sampledMatch_ = 0;
     }
 

@@ -9,12 +9,12 @@
  * misplacing entries; rearrangement cost is reported to the caller
  * (Triangel shuffles up to 1MB of metadata per resize, §III-C2).
  *
- * Fast-path layout (DESIGN.md §8): sets and sampledSets are rounded up to
- * powers of two at construction so every per-access derivation -- set
- * index, sampled-set membership, reuse-predictor slot -- is a mask over
- * ONE mix64() of the trigger, and all entries live in one contiguous
- * slot array (valid bit folded into the RRPV byte) instead of 16K heap
- * blocks.
+ * Fast-path layout (DESIGN.md §8): sets and sampledSets are powers of
+ * two (the constructor rejects anything else) so every per-access
+ * derivation -- set index, sampled-set membership, reuse-predictor slot
+ * -- is a mask over ONE mix64() of the trigger, and all entries live in
+ * one contiguous slot array (valid bit folded into the RRPV byte)
+ * instead of 16K heap blocks.
  */
 
 #ifndef SL_TEMPORAL_PAIRWISE_STORE_HH
@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/fault.hh"
@@ -35,8 +36,7 @@ namespace sl
 /** Configuration for a pairwise metadata store. */
 struct PairwiseStoreParams
 {
-    /** Virtual LLC sets available; rounded UP to a power of two at
-     *  construction (every real geometry is one already). */
+    /** Virtual LLC sets available; a power of two. */
     std::uint32_t sets = 2048;
     unsigned maxWays = 8;          //!< largest metadata partition, in ways
     unsigned entriesPerBlock = 12; //!< 12 uncompressed, 16 LUT-compressed
@@ -47,8 +47,8 @@ struct PairwiseStoreParams
      */
     bool utilityRepl = false;
     /** Permanently full-size sampled sets used by the partitioner to
-     *  measure metadata utility (mirrors Streamline's 64 sets); also
-     *  rounded up to a power of two. */
+     *  measure metadata utility (mirrors Streamline's 64 sets): 0 for
+     *  none, else a power of two; at least `sets` samples every set. */
     unsigned sampledSets = 64;
 };
 
@@ -151,6 +151,7 @@ class PairwiseStore
         Addr trigger = 0;
         Addr target = 0;
         std::uint8_t meta = 3; //!< bit 7: valid; low bits: RRPV (0..3)
+        std::uint8_t pad[7] = {}; //!< explicit, so snapshots are stable
 
         static constexpr std::uint8_t kValid = 0x80;
 
@@ -164,7 +165,9 @@ class PairwiseStore
             meta = static_cast<std::uint8_t>(kValid | insert_rrpv);
         }
     };
-    static_assert(sizeof(Entry) <= 24, "pairwise slot must stay packed");
+    static_assert(sizeof(Entry) == 24 &&
+                      std::has_unique_object_representations_v<Entry>,
+                  "pairwise slot must stay packed, with no hidden padding");
 
     std::uint32_t setIndex(Addr trigger) const;
     unsigned wayFromHash(std::uint64_t h, unsigned ways) const;

@@ -12,6 +12,7 @@
 #ifndef SL_TEMPORAL_SAMPLER_HH
 #define SL_TEMPORAL_SAMPLER_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -31,16 +32,22 @@ class LruStackSampler
   public:
     /**
      * @param sampled_sets number of sampled sets (power of two)
-     * @param total_sets total sets keys are distributed over
+     * @param total_sets total sets keys are distributed over (a power of
+     *        two no smaller than @p sampled_sets: every caller derives it
+     *        from the LLC, whose set count SystemConfig keeps one)
      * @param max_depth stack depth tracked per sampled set
      */
     LruStackSampler(std::uint32_t sampled_sets, std::uint32_t total_sets,
                     unsigned max_depth)
         : sampledSets_(sampled_sets), stride_(total_sets / sampled_sets),
-          stridePow2_(stride_ != 0 && (stride_ & (stride_ - 1)) == 0),
           strideMask_(stride_ - 1), maxDepth_(max_depth),
           stacks_(sampled_sets), histogram_(max_depth + 1, 0)
     {
+        SL_REQUIRE(std::has_single_bit(sampled_sets) &&
+                       std::has_single_bit(stride_),
+                   "lru_stack_sampler",
+                   "sampled and total set counts must be powers of two, "
+                   "got " << sampled_sets << " of " << total_sets);
         // +1: access() inserts at the head before trimming the tail, so
         // the stack transiently holds maxDepth + 1 keys; reserving the
         // peak keeps the per-access path reallocation-free.
@@ -52,8 +59,7 @@ class LruStackSampler
     bool
     sampled(std::uint32_t set) const
     {
-        return stridePow2_ ? (set & strideMask_) == 0
-                           : set % stride_ == 0;
+        return (set & strideMask_) == 0;
     }
 
     /**
@@ -133,7 +139,6 @@ class LruStackSampler
   private:
     std::uint32_t sampledSets_;
     std::uint32_t stride_;  //!< totalSets / sampledSets, computed once
-    bool stridePow2_;
     std::uint32_t strideMask_;
     unsigned maxDepth_;
     std::vector<std::vector<std::uint64_t>> stacks_;

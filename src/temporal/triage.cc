@@ -8,9 +8,9 @@
 namespace sl
 {
 
-TriagePrefetcher::TriagePrefetcher(const TriageConfig& cfg)
-    : Prefetcher(cfg.unlimited ? "triage_ideal" : "triage"), cfg_(cfg),
-      tu_(cfg.tuEntries)
+TriagePrefetcher::TriagePrefetcher(const TriageConfig& cfg, bool unlimited)
+    : Prefetcher(unlimited ? "triage_ideal" : "triage"), cfg_(cfg),
+      unlimited_(unlimited), tu_(kTuEntries)
 {
 }
 
@@ -21,11 +21,11 @@ TriagePrefetcher::attach(Cache* owner, Cache* llc, EventQueue* eq,
     Prefetcher::attach(owner, llc, eq, core_id, total_cores);
     PairwiseStoreParams sp;
     sp.sets = metadataSets();
-    sp.maxWays = cfg_.maxWays;
+    sp.maxWays = kMaxWays;
     sp.entriesPerBlock = 16; // LUT-compressed targets
     store_.emplace(sp);
     store_->setFaultInjector(faults_);
-    currentWays_ = cfg_.maxWays / 2;
+    currentWays_ = kMaxWays / 2;
     store_->resize(currentWays_);
     dataSampler_.emplace(std::min<std::uint32_t>(64, metadataSets()),
                          metadataSets(), llc_->ways());
@@ -34,7 +34,7 @@ TriagePrefetcher::attach(Cache* owner, Cache* llc, EventQueue* eq,
 std::uint64_t
 TriagePrefetcher::storedCorrelations() const
 {
-    return cfg_.unlimited ? unlimitedStore_.size() : store_->size();
+    return unlimited_ ? unlimitedStore_.size() : store_->size();
 }
 
 void
@@ -47,7 +47,7 @@ TriagePrefetcher::onAccess(const AccessInfo& info)
     const Addr block = blockNumber(info.addr);
     ++trainEventsCtr_;
 
-    if (!cfg_.unlimited) {
+    if (!unlimited_) {
         // Feed the partition-sizing samplers: data reuse (LLC stack
         // depth) and trigger reuse (metadata stack depth).
         const auto set = static_cast<std::uint32_t>(
@@ -68,7 +68,7 @@ TriagePrefetcher::train(Addr block, PC pc, Cycle now)
     TuEntry& tu = tu_[mix64(pc) % tu_.size()];
     if (tu.valid && tu.pc == pc && tu.lastBlock != block) {
         const Addr trigger = tu.lastBlock;
-        if (cfg_.unlimited) {
+        if (unlimited_) {
             unlimitedStore_[trigger] = block;
         } else {
             // Insert with LUT compression: record the target's region.
@@ -90,9 +90,9 @@ TriagePrefetcher::issueChain(Addr block, PC pc, Cycle now)
 {
     Addr cur = block;
     Cycle t = now;
-    for (unsigned d = 0; d < cfg_.degree; ++d) {
+    for (unsigned d = 0; d < kDegree; ++d) {
         std::optional<Addr> target;
-        if (cfg_.unlimited) {
+        if (unlimited_) {
             auto it = unlimitedStore_.find(cur);
             if (it != unlimitedStore_.end())
                 target = it->second;
@@ -133,10 +133,10 @@ TriagePrefetcher::maybeResize(Cycle now)
         static_cast<double>(store_->takeSampledHits());
     double best_score = -1.0;
     unsigned best_ways = 0;
-    for (unsigned w = 0; w <= cfg_.maxWays; ++w) {
+    for (unsigned w = 0; w <= kMaxWays; ++w) {
         const double score =
             static_cast<double>(dataSampler_->hitsWithin(llc_ways - w)) +
-            sampled_hits * w / cfg_.maxWays;
+            sampled_hits * w / kMaxWays;
         if (score > best_score) {
             best_score = score;
             best_ways = w;
@@ -164,20 +164,16 @@ void
 registerTriagePrefetchers(PrefetcherRegistry& reg)
 {
     reg.add("triage", PrefetcherRegistry::L2,
-            [](const PrefetcherTuning& t) -> PrefetcherFactory {
-                const TriageConfig cfg = t.triage ? *t.triage : TriageConfig{};
-                return [cfg](int) {
-                    return std::make_unique<TriagePrefetcher>(cfg);
-                };
+            [](const PrefetcherTuning&) -> PrefetcherFactory {
+                return [](int) { return std::make_unique<TriagePrefetcher>(); };
             });
-    // Config-override hook: the idealised variant is the same class with
-    // unbounded zero-cost metadata forced on.
+    // The idealised variant is the same class with unbounded zero-cost
+    // metadata; this name is the only way to select it.
     reg.add("triage_ideal", PrefetcherRegistry::L2,
-            [](const PrefetcherTuning& t) -> PrefetcherFactory {
-                TriageConfig cfg = t.triage ? *t.triage : TriageConfig{};
-                cfg.unlimited = true;
-                return [cfg](int) {
-                    return std::make_unique<TriagePrefetcher>(cfg);
+            [](const PrefetcherTuning&) -> PrefetcherFactory {
+                return [](int) {
+                    return std::make_unique<TriagePrefetcher>(
+                        TriageConfig{}, /*unlimited=*/true);
                 };
             });
 }

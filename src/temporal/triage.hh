@@ -26,34 +26,32 @@
 namespace sl
 {
 
-/** Configuration for Triage. */
+/**
+ * Triage's one setting: accesses per partition-sizing epoch. No
+ * experiment varies it; tests shorten it.
+ */
 struct TriageConfig
 {
-    unsigned degree = 4;
-    unsigned tuEntries = 256;
-    unsigned maxWays = 8;
     unsigned resizeInterval = 50'000;
-    bool unlimited = false; //!< idealised: unbounded, zero-cost metadata
 };
 
 /** The Triage prefetcher. Attach to an L2; metadata lives in the LLC. */
 class TriagePrefetcher : public Prefetcher, public PartitionPolicy
 {
   public:
-    explicit TriagePrefetcher(const TriageConfig& cfg = {});
+    static constexpr unsigned kDegree = 4;
+    static constexpr unsigned kTuEntries = 256;
+    static constexpr unsigned kMaxWays = 8;
+
+    /** @p unlimited: the idealised variant, unbounded zero-cost metadata
+     *  (built by the registry's `triage_ideal`). */
+    explicit TriagePrefetcher(const TriageConfig& cfg = {},
+                              bool unlimited = false);
 
     void attach(Cache* owner, Cache* llc, EventQueue* eq, int core_id,
                 unsigned total_cores) override;
 
     void onAccess(const AccessInfo& info) override;
-
-    void
-    setFaultInjector(FaultInjector* f) override
-    {
-        Prefetcher::setFaultInjector(f);
-        if (store_)
-            store_->setFaultInjector(f);
-    }
 
     void
     audit(Cycle now) const override
@@ -68,10 +66,10 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
     unsigned
     reservedWays(std::uint32_t set) const override
     {
-        if (cfg_.unlimited)
+        if (unlimited_)
             return 0;
         if (store_ && store_->sampledSet(set))
-            return cfg_.maxWays;
+            return kMaxWays;
         return currentWays_;
     }
 
@@ -157,6 +155,7 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
     void maybeResize(Cycle now);
 
     TriageConfig cfg_;
+    bool unlimited_;
     // Sized at attach() time from the LLC geometry.
     std::optional<PairwiseStore> store_;
     std::unordered_map<Addr, Addr> unlimitedStore_;

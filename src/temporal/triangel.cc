@@ -8,10 +8,11 @@
 namespace sl
 {
 
-TriangelPrefetcher::TriangelPrefetcher(const TriangelConfig& cfg)
-    : Prefetcher(cfg.ideal ? "triangel_ideal" : "triangel"), cfg_(cfg),
-      tu_(cfg.tuEntries), hs_(cfg.hsEntries), scs_(cfg.scsEntries),
-      mrb_(cfg.mrbEntries)
+TriangelPrefetcher::TriangelPrefetcher(const TriangelConfig& cfg,
+                                       bool ideal)
+    : Prefetcher(ideal ? "triangel_ideal" : "triangel"), cfg_(cfg),
+      ideal_(ideal), tu_(kTuEntries), hs_(kHsEntries), scs_(kScsEntries),
+      mrb_(kMrbEntries)
 {
 }
 
@@ -27,8 +28,8 @@ TriangelPrefetcher::attach(Cache* owner, Cache* llc, EventQueue* eq,
     sp.utilityRepl = cfg_.useTpMockingjay;
     store_.emplace(sp);
     store_->setFaultInjector(faults_);
-    currentWays_ = cfg_.ideal ? cfg_.maxWays
-                              : startingAllocation(cfg_.maxWays / 2);
+    currentWays_ =
+        ideal_ ? cfg_.maxWays : startingAllocation(cfg_.maxWays / 2);
     store_->resize(currentWays_);
     dataSampler_.emplace(std::min<std::uint32_t>(64, metadataSets()),
                          metadataSets(), llc_->ways());
@@ -110,7 +111,8 @@ TriangelPrefetcher::trainConfidence(TuEntry& tu, Addr trigger, Addr target)
             TuEntry& victim_tu = tuFor(slot.pc);
             victim_tu.reuseConf = std::max(0, victim_tu.reuseConf - 1);
         }
-        slot = HsEntry{true, tu.pc, trigger, target};
+        slot = HsEntry{.valid = true, .pc = tu.pc, .trigger = trigger,
+                       .target = target};
     }
 
     // Slow decay of pattern confidence so stale confidence unlearns.
@@ -147,7 +149,8 @@ TriangelPrefetcher::mrbInsert(Addr trigger, Addr target)
         if (e.lru < victim->lru)
             victim = &e;
     }
-    *victim = MrbEntry{true, trigger, target, ++mrbTick_};
+    *victim = MrbEntry{.valid = true, .trigger = trigger, .target = target,
+                       .lru = ++mrbTick_};
 }
 
 unsigned
@@ -172,7 +175,7 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
     ++trainEventsCtr_;
     TuEntry& tu = tuFor(info.pc);
 
-    if (!cfg_.ideal) {
+    if (!ideal_) {
         const auto set = static_cast<std::uint32_t>(
             mix64(block) % metadataSets());
         dataSampler_->access(set, block);
@@ -208,7 +211,7 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
             const auto cached = mrbLookup(trigger);
             if (!cached || *cached != block) {
                 store_->insert(trigger, block);
-                if (!cfg_.ideal && !off_llc)
+                if (!ideal_ && !off_llc)
                     llc_->metadataAccess(true, info.cycle);
                 mrbInsert(trigger, block);
             } else {
@@ -229,7 +232,7 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
     // into prefetches, and dueling then holds ways whose realized value
     // is a fraction of the sampled score while co-runners pay full
     // price for the lost capacity.
-    if (degree == 0 && !cfg_.ideal && pressure_ == nullptr)
+    if (degree == 0 && !ideal_ && pressure_ == nullptr)
         store_->probeSampled(block);
     Addr cur = block;
     Cycle t = info.cycle;
@@ -239,7 +242,7 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
             ++mrbHitsCtr_;
         } else {
             target = store_->lookup(cur);
-            if (!cfg_.ideal && !off_llc)
+            if (!ideal_ && !off_llc)
                 t = llc_->metadataAccess(false, t);
             else
                 t = t + 20; // dedicated-store latency
@@ -339,13 +342,15 @@ registerTriangelPrefetchers(PrefetcherRegistry& reg)
                     return std::make_unique<TriangelPrefetcher>(cfg);
                 };
             });
-    // Config-override hook: dedicated full-size store, no LLC metadata.
+    // The only way to select the ideal mode: dedicated full-size store,
+    // no LLC metadata.
     reg.add("triangel_ideal", PrefetcherRegistry::L2,
             [](const PrefetcherTuning& t) -> PrefetcherFactory {
-                TriangelConfig cfg = t.triangel ? *t.triangel : TriangelConfig{};
-                cfg.ideal = true;
+                const TriangelConfig cfg =
+                    t.triangel ? *t.triangel : TriangelConfig{};
                 return [cfg](int) {
-                    return std::make_unique<TriangelPrefetcher>(cfg);
+                    return std::make_unique<TriangelPrefetcher>(
+                        cfg, /*ideal=*/true);
                 };
             });
 }

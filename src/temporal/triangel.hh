@@ -8,8 +8,8 @@
  * (3) set-dueling dynamic partitioning over 9 sizes (0..8 ways) that
  * rearranges misplaced metadata after each resize -- the costly shuffle
  * Streamline eliminates. Targets are stored uncompressed (12
- * correlations/block). The `ideal` flag models Triangel-Ideal (Fig 13a):
- * a dedicated 1MB store outside the LLC.
+ * correlations/block). The registry's `triangel_ideal` builds
+ * Triangel-Ideal (Fig 13a): a dedicated 1MB store outside the LLC.
  */
 
 #ifndef SL_TEMPORAL_TRIANGEL_HH
@@ -26,17 +26,13 @@
 namespace sl
 {
 
-/** Configuration for Triangel. */
+/** Triangel's experiment knobs; table sizes are class constants. */
 struct TriangelConfig
 {
-    unsigned maxDegree = 4;
-    unsigned tuEntries = 256;
+    unsigned maxDegree = 4;        //!< Fig 10f sweeps 1..8
     unsigned maxWays = 8;          //!< 8 of 16 ways = 1MB max for 2MB LLC
+    /** Accesses per dueling epoch; tests shorten it. */
     unsigned resizeInterval = 50'000;
-    unsigned mrbEntries = 32;
-    unsigned hsEntries = 256;
-    unsigned scsEntries = 64;
-    bool ideal = false;            //!< dedicated store, no LLC interaction
     bool useTpMockingjay = false;  //!< Fig 13c: Triangel + TP-MJ variant
 };
 
@@ -44,20 +40,19 @@ struct TriangelConfig
 class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
 {
   public:
-    explicit TriangelPrefetcher(const TriangelConfig& cfg = {});
+    static constexpr unsigned kTuEntries = 256;
+    static constexpr unsigned kHsEntries = 256;  //!< history sampler
+    static constexpr unsigned kScsEntries = 64;  //!< second-chance sampler
+    static constexpr unsigned kMrbEntries = 32;  //!< metadata reuse buffer
+
+    /** @p ideal: a dedicated full-size store with no LLC interaction. */
+    explicit TriangelPrefetcher(const TriangelConfig& cfg = {},
+                                bool ideal = false);
 
     void attach(Cache* owner, Cache* llc, EventQueue* eq, int core_id,
                 unsigned total_cores) override;
 
     void onAccess(const AccessInfo& info) override;
-
-    void
-    setFaultInjector(FaultInjector* f) override
-    {
-        Prefetcher::setFaultInjector(f);
-        if (store_)
-            store_->setFaultInjector(f);
-    }
 
     void
     audit(Cycle now) const override
@@ -68,7 +63,7 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
 
     const PartitionPolicy* partitionPolicy() const override
     {
-        return cfg_.ideal ? nullptr : this;
+        return ideal_ ? nullptr : this;
     }
 
     unsigned
@@ -98,13 +93,6 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
 
     unsigned currentWays() const { return currentWays_; }
 
-    /** Fraction of issued prefetches later consumed (for reports). */
-    double
-    observedAccuracy() const
-    {
-        return ratio(stats_.get("useful_feedback"), stats_.get("issued"));
-    }
-
     void
     serializeState(Serializer& s, const SnapshotCtx& ctx) override
     {
@@ -116,7 +104,9 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
         static_assert(std::is_trivially_copyable_v<TuEntry> &&
                       std::has_unique_object_representations_v<TuEntry> &&
                       std::is_trivially_copyable_v<HsEntry> &&
-                      std::is_trivially_copyable_v<MrbEntry>);
+                      std::has_unique_object_representations_v<HsEntry> &&
+                      std::is_trivially_copyable_v<MrbEntry> &&
+                      std::has_unique_object_representations_v<MrbEntry>);
         s.io(tu_);
         s.io(hs_);
         s.io(scs_);
@@ -155,6 +145,7 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     struct HsEntry
     {
         bool valid = false;
+        std::uint8_t pad[7] = {}; //!< explicit, so snapshots are stable
         PC pc = 0;
         Addr trigger = 0;
         Addr target = 0;
@@ -164,6 +155,7 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     struct MrbEntry
     {
         bool valid = false;
+        std::uint8_t pad[7] = {};
         Addr trigger = 0;
         Addr target = 0;
         std::uint64_t lru = 0;
@@ -181,6 +173,7 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     void resizeTo(unsigned ways, Cycle now);
 
     TriangelConfig cfg_;
+    bool ideal_;
     std::optional<PairwiseStore> store_;
     std::vector<TuEntry> tu_;
     std::vector<HsEntry> hs_;

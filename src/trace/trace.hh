@@ -11,7 +11,6 @@
 #ifndef SL_TRACE_TRACE_HH
 #define SL_TRACE_TRACE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,73 +61,15 @@ struct Trace
     std::size_t warmupRecords = 0;
     std::vector<TraceRecord> records;
 
-    Trace() = default;
-    // The cached count travels with the records it summarises (an atomic
-    // member would otherwise delete the copy/move operations).
-    Trace(const Trace& o)
-        : name(o.name), suite(o.suite), warmupRecords(o.warmupRecords),
-          records(o.records), cachedInstructions_(o.cachedCount())
-    {
-    }
-    Trace(Trace&& o) noexcept
-        : name(std::move(o.name)), suite(o.suite),
-          warmupRecords(o.warmupRecords), records(std::move(o.records)),
-          cachedInstructions_(o.cachedCount())
-    {
-    }
-    Trace&
-    operator=(const Trace& o)
-    {
-        name = o.name;
-        suite = o.suite;
-        warmupRecords = o.warmupRecords;
-        records = o.records;
-        cachedInstructions_.store(o.cachedCount(),
-                                  std::memory_order_relaxed);
-        return *this;
-    }
-    Trace&
-    operator=(Trace&& o) noexcept
-    {
-        name = std::move(o.name);
-        suite = o.suite;
-        warmupRecords = o.warmupRecords;
-        records = std::move(o.records);
-        cachedInstructions_.store(o.cachedCount(),
-                                  std::memory_order_relaxed);
-        return *this;
-    }
-
-    /**
-     * Total dynamic instructions represented (memory ops + bubbles).
-     *
-     * Computed lazily on first call and cached: traces run to millions of
-     * records and are immutable once built (TracePtr is shared_ptr to
-     * const), so the O(records) walk only ever needs to happen once. Do
-     * not mutate `records` after calling this. Concurrent first calls
-     * race benignly: both compute the same value.
-     */
+    /** Total dynamic instructions represented (memory ops + bubbles). */
     std::uint64_t
     instructionCount() const
     {
-        std::uint64_t n = cachedCount();
-        if (n == 0 && !records.empty()) {
-            for (const auto& r : records)
-                n += 1 + r.bubbles;
-            cachedInstructions_.store(n, std::memory_order_relaxed);
-        }
+        std::uint64_t n = 0;
+        for (const auto& r : records)
+            n += 1 + r.bubbles;
         return n;
     }
-
-  private:
-    std::uint64_t
-    cachedCount() const
-    {
-        return cachedInstructions_.load(std::memory_order_relaxed);
-    }
-
-    /** 0 = not yet computed (a non-empty trace never sums to 0). */
-    mutable std::atomic<std::uint64_t> cachedInstructions_{0};
 };
 
 using TracePtr = std::shared_ptr<const Trace>;

@@ -72,13 +72,12 @@ TEST(Registry, EveryL1NameConstructsAndRoundTrips)
 
 TEST(Registry, IdealVariantsApplyConfigOverrides)
 {
-    // "triage_ideal" / "triangel_ideal" are the override hooks: the same
-    // class with the ideal knob forced on, visible via the stat name.
+    // "triage_ideal" / "triangel_ideal" are the only ideal-mode
+    // selectors: the same class built with its ideal constructor flag,
+    // visible via the stat name, whatever tuning the run carries.
     PrefetcherRegistry& reg = prefetcherRegistry();
-    TriageConfig triage; // unlimited = false
-    TriangelConfig triangel; // ideal = false
+    TriangelConfig triangel;
     PrefetcherTuning t;
-    t.triage = &triage;
     t.triangel = &triangel;
 
     EXPECT_EQ(reg.make("triage_ideal", PrefetcherRegistry::L2, t)(0)

@@ -19,6 +19,7 @@
 #include "common/ring_buffer.hh"
 #include "core/stream_store.hh"
 #include "dram/dram.hh"
+#include "sim/batch.hh"
 #include "sim/hardening.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
@@ -503,6 +504,13 @@ TEST(ReproBundle, FormatContainsEverythingNeededToReplay)
     EXPECT_NE(b.find("error.component = progress_watchdog"),
               std::string::npos);
     EXPECT_NE(b.find("error.cycle = 123456"), std::string::npos);
+    EXPECT_NE(b.find("tuning = " + tuningKey(cfg)), std::string::npos);
+
+    // A tuned run (a Fig 14 ablation) must not replay as the default
+    // design: its bundle carries the tuning.
+    RunConfig ablated = cfg;
+    ablated.streamline.enableBuffer = false;
+    EXPECT_NE(formatReproBundle(ablated, {"gap_bfs"}, err), b);
 }
 
 TEST(ReproBundle, WrittenWhenARunTrips)

@@ -2,8 +2,8 @@
  * @file
  * Tests for the flattened metadata fast path (DESIGN.md §8).
  *
- * Unit tests for the structural changes (pow2 rounding, flat slot
- * arrays, occupancy masks, resize rearrangement accounting). Full-run
+ * Unit tests for the structural changes (power-of-two geometry, flat
+ * slot arrays, occupancy masks, resize rearrangement accounting). Full-run
  * stat snapshots of both stores are pinned by the golden set
  * (golden_runs.hh, GoldenRuns.MatchPinnedDigests in test_system.cc).
  */
@@ -34,27 +34,34 @@ pairwiseParams(std::uint32_t sets, unsigned sampled = 64)
     return p;
 }
 
-TEST(PairwiseFastPath, SetsRoundUpToPowerOfTwo)
+TEST(PairwiseFastPath, RejectsNonPowerOfTwoGeometry)
 {
-    PairwiseStore store(pairwiseParams(1000, 60));
-    EXPECT_EQ(store.sets(), 1024u);
+    // Set and sampled-set membership are masks over one hash, so a
+    // geometry that is not a power of two is rejected, never rounded.
+    EXPECT_THROW(PairwiseStore{pairwiseParams(1000)}, SimError);
+    EXPECT_THROW(PairwiseStore{pairwiseParams(1024, 60)}, SimError);
 
-    // Already-pow2 geometries are untouched.
     PairwiseStore exact(pairwiseParams(2048));
     EXPECT_EQ(exact.sets(), 2048u);
 }
 
-TEST(PairwiseFastPath, SampledSetsRoundAndCoverExactly)
+TEST(PairwiseFastPath, SampledSetsCoverExactly)
 {
-    PairwiseStore store(pairwiseParams(1000, 60));
-    // 60 sampled sets round to 64; stride 1024/64 = 16.
-    unsigned sampled = 0;
-    for (std::uint32_t s = 0; s < store.sets(); ++s)
-        sampled += store.sampledSet(s);
-    EXPECT_EQ(sampled, 64u);
+    const auto count = [](const PairwiseStore& st) {
+        unsigned n = 0;
+        for (std::uint32_t s = 0; s < st.sets(); ++s)
+            n += st.sampledSet(s);
+        return n;
+    };
+    // 64 sampled sets of 1024: stride 16.
+    PairwiseStore store(pairwiseParams(1024, 64));
+    EXPECT_EQ(count(store), 64u);
     EXPECT_TRUE(store.sampledSet(0));
     EXPECT_TRUE(store.sampledSet(16));
     EXPECT_FALSE(store.sampledSet(1));
+    // No sample, and a sample no smaller than the store (every set).
+    EXPECT_EQ(count(PairwiseStore(pairwiseParams(64, 0))), 0u);
+    EXPECT_EQ(count(PairwiseStore(pairwiseParams(32, 64))), 32u);
 }
 
 TEST(PairwiseFastPath, RoundTripOnFlatLayout)

@@ -470,14 +470,40 @@ TEST_F(SnapshotRejection, PrefetcherTuningMismatchRejected)
               std::string::npos);
 }
 
-/** smallConfig(@p l2) with one prefetcher-tuning field changed. */
+/**
+ * smallConfig(@p l2) with one prefetcher-tuning field changed: one
+ * variant per StreamlineConfig field (13) and TriangelConfig field (4),
+ * so an identity digest that ignores any tuning field fails.
+ */
 std::vector<RunConfig>
 tuningVariants(const char* l2 = "streamline")
 {
-    std::vector<RunConfig> v(3, smallConfig(l2));
-    v[0].streamline.maxDegree = 1;
-    v[1].triangel.useTpMockingjay = true;
-    v[2].triage.degree = 2;
+    std::vector<RunConfig> v;
+    const auto sl = [&](auto set) {
+        v.push_back(smallConfig(l2));
+        set(v.back().streamline);
+    };
+    const auto tg = [&](auto set) {
+        v.push_back(smallConfig(l2));
+        set(v.back().triangel);
+    };
+    sl([](StreamlineConfig& c) { c.streamLength = 8; });
+    sl([](StreamlineConfig& c) { c.bufferEntries = 1; });
+    sl([](StreamlineConfig& c) { c.maxDegree = 1; });
+    sl([](StreamlineConfig& c) { c.enableBuffer = false; });
+    sl([](StreamlineConfig& c) { c.enableAlignment = false; });
+    sl([](StreamlineConfig& c) { c.taggedSetPartition = false; });
+    sl([](StreamlineConfig& c) { c.useTpMockingjay = false; });
+    sl([](StreamlineConfig& c) { c.realignment = false; });
+    sl([](StreamlineConfig& c) { c.skewedIndexing = true; });
+    sl([](StreamlineConfig& c) { c.fixedDen = 2; });
+    sl([](StreamlineConfig& c) { c.fixedWays = 4; });
+    sl([](StreamlineConfig& c) { c.partialTagBits = 8; });
+    sl([](StreamlineConfig& c) { c.degreeEpoch = 256; });
+    tg([](TriangelConfig& c) { c.maxDegree = 2; });
+    tg([](TriangelConfig& c) { c.maxWays = 4; });
+    tg([](TriangelConfig& c) { c.resizeInterval = 1000; });
+    tg([](TriangelConfig& c) { c.useTpMockingjay = true; });
     return v;
 }
 

@@ -217,18 +217,6 @@ TEST_F(StreamlineFixture, UadpResizesUnderUselessMetadata)
               0u);
 }
 
-TEST_F(StreamlineFixture, IdealModeHasNoLlcFootprint)
-{
-    StreamlineConfig cfg;
-    cfg.ideal = true;
-    auto& sl_pf = make(cfg);
-    feed(300, 5);
-    EXPECT_EQ(llc->stats().get("metadata_reads"), 0u);
-    EXPECT_EQ(llc->stats().get("metadata_writes"), 0u);
-    EXPECT_EQ(sl_pf.partitionPolicy(), nullptr);
-    EXPECT_GT(sl_pf.stats().get("issued"), 0u);
-}
-
 TEST_F(StreamlineFixture, FilteredLookupsCostNoLlcReads)
 {
     StreamlineConfig cfg;

@@ -216,9 +216,7 @@ TEST_F(TemporalFixture, TriageLearnsRepeatingSequence)
 
 TEST_F(TemporalFixture, TriageIdealUnlimited)
 {
-    TriageConfig cfg;
-    cfg.unlimited = true;
-    TriagePrefetcher pf(cfg);
+    TriagePrefetcher pf(TriageConfig{}, /*unlimited=*/true);
     feedRepeatingStream(pf, 400, 4);
     // Every pair remembered (minus occasional block-hash collisions).
     EXPECT_GE(pf.storedCorrelations(), 350u);
@@ -272,7 +270,7 @@ TEST_F(TemporalFixture, TriageResizeReclaimsAtTrainingCycle)
     train(i, kResizeAt);
     drain(eq, kDrainLimit);
     ASSERT_EQ(pf.stats().get("resizes"), 1u);
-    ASSERT_GT(pf.reservedWays(1), cfg.maxWays / 2);
+    ASSERT_GT(pf.reservedWays(1), TriagePrefetcher::kMaxWays / 2);
     ASSERT_GT(llc->stats().get("partition_reclaims"), 0u);
 
     unsigned writebacks = 0, early = 0;
@@ -299,9 +297,7 @@ TEST_F(TemporalFixture, TriangelLearnsAndUsesMrb)
 
 TEST_F(TemporalFixture, TriangelIdealHasNoLlcFootprint)
 {
-    TriangelConfig cfg;
-    cfg.ideal = true;
-    TriangelPrefetcher pf(cfg);
+    TriangelPrefetcher pf(TriangelConfig{}, /*ideal=*/true);
     feedRepeatingStream(pf, 300, 6);
     EXPECT_EQ(llc->stats().get("metadata_reads"), 0u);
     EXPECT_EQ(pf.partitionPolicy(), nullptr);

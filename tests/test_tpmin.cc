@@ -156,7 +156,7 @@ TEST(Uadp, AccuracyBucketsMatchPaper)
 
 TEST(Uadp, HighUtilityMetadataChoosesFull)
 {
-    UtilityPartitioner up(256, 16, 8, false, 1.0);
+    UtilityPartitioner up(256, 16, 8, 1.0);
     // Drive accuracy high.
     for (unsigned i = 0; i < 4096; ++i) {
         up.onPrefetchIssued();
@@ -191,19 +191,6 @@ TEST(Uadp, ResizeEpochIs32kAccesses)
     EXPECT_TRUE(up.shouldResize());
     up.pickDenominator();
     EXPECT_FALSE(up.shouldResize());
-}
-
-TEST(Uadp, TriangelScoringIgnoresAccuracy)
-{
-    UtilityPartitioner up(256, 16, 8, /*triangel=*/true, 1.0);
-    // Accuracy terrible, but hits are hits under Triangel scoring.
-    for (unsigned i = 0; i < 2048; ++i)
-        up.onPrefetchIssued();
-    for (unsigned i = 0; i < 40'000; ++i) {
-        up.onDataAccess(i % 256, i);
-        up.onSampledCorrelationHit();
-    }
-    EXPECT_EQ(up.pickDenominator(), 1u);
 }
 
 } // namespace
