@@ -130,8 +130,8 @@ Cache::setIndex(Addr addr) const
     return static_cast<std::uint32_t>(blockNumber(addr)) & (numSets_ - 1);
 }
 
-Cache::Block*
-Cache::findBlock(Addr addr)
+std::size_t
+Cache::findWay(Addr addr) const
 {
     const Addr tag = blockNumber(addr);
     const std::size_t base =
@@ -139,9 +139,9 @@ Cache::findBlock(Addr addr)
     const Addr* row = &tags_[base];
     for (unsigned w = 0; w < params_.ways; ++w) {
         if (row[w] == tag)
-            return &blocks_[base + w];
+            return base + w;
     }
-    return nullptr;
+    return kNoWay;
 }
 
 Cycle
@@ -182,82 +182,40 @@ Cache::retryNow(MemRequest* r, Cycle now)
 void
 Cache::handleAt(MemRequest* req, Cycle start)
 {
-    const bool demand = req->isDemand();
-
     if (req->kind == ReqKind::Writeback) {
-        // Writebacks allocate here (write-validate); no response needed.
-        ++ctr_.writebackIn;
-        if (Block* b = findBlock(req->addr)) {
-            markDirty(b);
-            lru_[wayIndex(b)] = ++lruTick_;
-        } else {
-            installFill(req->addr, false, false, true, req->coreId, start);
-        }
+        acceptWriteback(req->addr, req->coreId, start);
         disposeRequest(req);
         return;
     }
 
-    Block* b = findBlock(req->addr);
-
+    const bool demand = req->isDemand();
     // Requests re-presented after an MSHR stall already counted their
     // stats and trained the listener on first presentation.
     const bool fresh = !req->retried;
-    if (fresh) {
-        if (demand) {
-            ++ctr_.demandAccesses;
-            if (req->kind == ReqKind::DemandStore)
-                ++ctr_.demandStores;
-        } else {
+    bool hit;
+    if (demand) {
+        hit = demandLookup(req->addr, req->pc, req->coreId,
+                           req->kind == ReqKind::DemandStore, fresh, start);
+    } else {
+        if (fresh)
             ++ctr_.prefetchRequests;
-        }
+        const std::size_t i = findWay(req->addr);
+        hit = i != kNoWay;
+        if (hit)
+            lru_[i] = ++lruTick_;
     }
 
-    if (b) {
-        // ----- hit -----
-        if (req->retried)
+    if (hit) {
+        if (!fresh)
             wakeOne(start);
-        lru_[wayIndex(b)] = ++lruTick_;
-        if (demand) {
-            bool prefetch_hit = false;
-            if (fresh)
-                ++ctr_.demandHits;
-            if (b->prefetched) {
-                b->prefetched = false;
-                if (b->prefetchOriginHere)
-                    ++ctr_.prefetchUseful;
-                prefetch_hit = true;
-                if (tele_)
-                    tele_->fillToDemand.record(
-                        start > b->fillAt ? start - b->fillAt : 0);
-            }
-            if (req->kind == ReqKind::DemandStore)
-                markDirty(b);
-            if (fresh && listener_)
-                notifyListener(req->addr, req->pc, req->coreId,
-                               req->kind == ReqKind::DemandStore, true,
-                               prefetch_hit, start);
-            respond(req, start + params_.latency);
-        } else {
-            // Prefetch for a resident block.
-            if (req->origin == this)
-                ++ctr_.prefetchRedundant;
-            if (req->client)
-                respond(req, start + params_.latency);
-            else
-                disposeRequest(req);
-        }
+        // A prefetch for a resident block is redundant.
+        if (!demand && req->origin == this)
+            ++ctr_.prefetchRedundant;
+        respond(req, start + params_.latency);
         return;
     }
 
     // ----- miss -----
-    if (demand && fresh) {
-        ++ctr_.demandMisses;
-        if (listener_)
-            notifyListener(req->addr, req->pc, req->coreId,
-                           req->kind == ReqKind::DemandStore, false, false,
-                           start);
-    }
-
     if (Mshr* m = mshrs_.find(req->addr)) {
         // Merge into the outstanding miss.
         if (req->retried)
@@ -329,6 +287,58 @@ Cache::handleAt(MemRequest* req, Cycle start)
     const Cycle fwd_at = start + params_.latency;
     eq_.schedule(fwd_at, EventCallback::make(EventKind::Forward,
                                              reqDesc(this, down)));
+}
+
+bool
+Cache::demandLookup(Addr addr, PC pc, int core, bool store, bool fresh,
+                    Cycle now)
+{
+    if (fresh) {
+        ++ctr_.demandAccesses;
+        if (store)
+            ++ctr_.demandStores;
+    }
+    const std::size_t i = findWay(addr);
+    if (i == kNoWay) {
+        if (fresh) {
+            ++ctr_.demandMisses;
+            if (listener_)
+                notifyListener(addr, pc, core, store, false, false, now);
+        }
+        return false;
+    }
+    lru_[i] = ++lruTick_;
+    if (fresh)
+        ++ctr_.demandHits;
+    bool prefetch_hit = false;
+    Block& b = blocks_[i];
+    if (b.prefetched) {
+        b.prefetched = false;
+        if (b.prefetchOriginHere)
+            ++ctr_.prefetchUseful;
+        prefetch_hit = true;
+        if (tele_ && !functional_)
+            tele_->fillToDemand.record(now > b.fillAt ? now - b.fillAt : 0);
+    }
+    if (store)
+        dirty_[i] = 1;
+    if (fresh && listener_)
+        notifyListener(addr, pc, core, store, true, prefetch_hit, now);
+    return true;
+}
+
+void
+Cache::acceptWriteback(Addr addr, std::int32_t core, Cycle now)
+{
+    // Writebacks allocate here (write-validate); no response needed.
+    ++ctr_.writebackIn;
+    const std::size_t i = findWay(addr);
+    if (i == kNoWay) {
+        installFill(addr, false, false, true, core, now);
+        return;
+    }
+    dirty_[i] = 1;
+    lru_[i] = ++lruTick_;
 }
 
 void
@@ -410,11 +420,10 @@ Cache::wakeOne(Cycle now)
 unsigned
 Cache::pickVictimWay(std::size_t base, unsigned reserved) const
 {
-    // Victim selection runs entirely off the packed tag/LRU side arrays
+    // Victim selection runs entirely off the packed tag/LRU arrays
     // (two cache lines per set instead of one Block per way): first
     // invalid way in scan order, else the strictly-least LRU stamp in
-    // way order -- the audited tags_/valid mirror makes the kNoTag probe
-    // equivalent to the old row[w].valid test.
+    // way order.
     unsigned vw = params_.ways;
     const Addr* tagRow = &tags_[base];
     const std::uint64_t* lruRow = &lru_[base];
@@ -443,9 +452,8 @@ Cache::installFill(Addr addr, bool prefetched, bool origin_here,
     }
     const std::size_t i = base + vw;
 
-    // The eviction decision reads only the packed mirrors (valid from
-    // tags_, dirty from dirty_): the victim's Block row is written
-    // below, never loaded.
+    // The eviction decision reads only the packed arrays: the victim's
+    // Block row is written below, never loaded.
     if (tags_[i] != kNoTag) {
         ++ctr_.evictions;
         // Charge the writeback to the core whose fill evicted the victim
@@ -455,15 +463,12 @@ Cache::installFill(Addr addr, bool prefetched, bool origin_here,
             writeBack(tags_[i] << kBlockShift, core, now);
     }
 
-    Block* victim = &blocks_[i];
-    victim->valid = true;
-    victim->dirty = store;
-    victim->prefetched = prefetched;
-    victim->prefetchOriginHere = prefetched && origin_here;
-    victim->tag = blockNumber(addr);
-    victim->fillAt = now;
+    Block& victim = blocks_[i];
+    victim.prefetched = prefetched;
+    victim.prefetchOriginHere = prefetched && origin_here;
+    victim.fillAt = now;
+    tags_[i] = blockNumber(addr);
     lru_[i] = ++lruTick_;
-    tags_[i] = victim->tag;
     dirty_[i] = store;
 }
 
@@ -475,7 +480,7 @@ Cache::writeBack(Addr addr, std::int32_t core, Cycle now)
         // The hop into DRAM carries no state the functional pass needs;
         // only cache-to-cache writebacks walk the chain.
         if (nextCache_)
-            nextCache_->functionalWriteback(addr, now);
+            nextCache_->acceptWriteback(addr, core, now);
         return;
     }
     MemRequest* wb = pool_->acquire();
@@ -542,30 +547,8 @@ Cache::functionalAccess(Addr addr, PC pc, int core, bool store, Cycle now)
     SL_CHECK_AT(functional_, params_.name.c_str(), now,
                 "functionalAccess on a cache in detailed mode");
     addr = blockAlign(addr);
-    ++ctr_.demandAccesses;
-    if (store)
-        ++ctr_.demandStores;
-
-    if (Block* b = findBlock(addr)) {
-        ++ctr_.demandHits;
-        lru_[wayIndex(b)] = ++lruTick_;
-        bool prefetch_hit = false;
-        if (b->prefetched) {
-            b->prefetched = false;
-            if (b->prefetchOriginHere)
-                ++ctr_.prefetchUseful;
-            prefetch_hit = true;
-        }
-        if (store)
-            markDirty(b);
-        if (listener_)
-            notifyListener(addr, pc, core, store, true, prefetch_hit, now);
+    if (demandLookup(addr, pc, core, store, true, now))
         return;
-    }
-
-    ++ctr_.demandMisses;
-    if (listener_)
-        notifyListener(addr, pc, core, store, false, false, now);
     // Downstream demand misses forward as loads (store-ness does not
     // propagate, matching the detailed miss path); install on unwind
     // with the dirty bit only at this level.
@@ -575,23 +558,11 @@ Cache::functionalAccess(Addr addr, PC pc, int core, bool store, Cycle now)
 }
 
 void
-Cache::functionalWriteback(Addr addr, Cycle now)
-{
-    ++ctr_.writebackIn;
-    if (Block* b = findBlock(addr)) {
-        markDirty(b);
-        lru_[wayIndex(b)] = ++lruTick_;
-        return;
-    }
-    installFill(addr, false, false, true, 0, now);
-}
-
-void
 Cache::functionalPrefetch(Addr addr, Cycle now)
 {
     ++ctr_.prefetchRequests;
-    if (Block* b = findBlock(addr)) {
-        lru_[wayIndex(b)] = ++lruTick_;
+    if (const std::size_t i = findWay(addr); i != kNoWay) {
+        lru_[i] = ++lruTick_;
         return;
     }
     if (nextCache_)
@@ -613,7 +584,7 @@ Cache::issuePrefetch(Addr addr, PC pc, int core_id, Cycle now)
         (void)core_id;
         addr = blockAlign(addr);
         ++ctr_.prefetchRequests;
-        if (findBlock(addr)) {
+        if (findWay(addr) != kNoWay) {
             ++ctr_.prefetchRedundant;
             return;
         }
@@ -625,7 +596,7 @@ Cache::issuePrefetch(Addr addr, PC pc, int core_id, Cycle now)
         // and the snapshot's metadata underperforms after restore.
         Cache* self = this;
         eq_.schedule(now + kFunctionalFillDelay, [self, addr](Cycle when) {
-            if (!self->functional_ || self->findBlock(addr))
+            if (!self->functional_ || self->findWay(addr) != kNoWay)
                 return;
             if (self->nextCache_)
                 self->nextCache_->functionalPrefetch(addr, when);
@@ -710,51 +681,34 @@ Cache::audit(Cycle now) const
             SL_CHECK_AT(w != nullptr && w->addr == m.addr, comp, now,
                         "MSHR waiter does not match its block");
     });
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        const std::size_t base =
-            static_cast<std::size_t>(set) * params_.ways;
-        const Block* row = &blocks_[base];
-        for (unsigned w = 0; w < params_.ways; ++w) {
-            SL_CHECK_AT(dirty_[base + w] == row[w].dirty, comp, now,
-                        "dirty mirror disagrees with the block's dirty "
-                        "bit in set " << set << " way " << w);
-            if (!row[w].valid) {
-                SL_CHECK_AT(tags_[base + w] == kNoTag, comp, now,
-                            "tag mirror holds a stale tag for an invalid "
-                            "way in set " << set);
-                continue;
-            }
-            SL_CHECK_AT(tags_[base + w] == row[w].tag, comp, now,
-                        "tag mirror disagrees with block tag 0x"
-                            << std::hex << row[w].tag << std::dec
-                            << " in set " << set);
-            SL_CHECK_AT(setIndex(row[w].tag << kBlockShift) == set, comp,
-                        now,
-                        "block tag 0x" << std::hex << row[w].tag
-                                       << std::dec << " homed to set "
-                                       << setIndex(row[w].tag
-                                                   << kBlockShift)
-                                       << " found in set " << set);
-            SL_CHECK_AT(lru_[base + w] <= lruTick_, comp, now,
-                        "LRU stamp from the future");
-        }
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        if (tags_[i] == kNoTag)
+            continue;
+        const std::size_t set = i / params_.ways;
+        const std::uint32_t home = setIndex(tags_[i] << kBlockShift);
+        SL_CHECK_AT(home == set, comp, now,
+                    "block tag 0x" << std::hex << tags_[i] << std::dec
+                                   << " homed to set " << home
+                                   << " found in set " << set);
+        SL_CHECK_AT(lru_[i] <= lruTick_, comp, now,
+                    "LRU stamp from the future");
     }
 }
 
 void
 Cache::reclaimReservedWays(std::uint32_t set, Cycle now)
 {
-    const unsigned reserved = reservedWays(set);
-    Block* row = &blocks_[static_cast<std::size_t>(set) * params_.ways];
-    for (unsigned w = 0; w < reserved; ++w) {
-        if (!row[w].valid)
+    const std::size_t base = static_cast<std::size_t>(set) * params_.ways;
+    const std::size_t end = base + reservedWays(set);
+    for (std::size_t i = base; i < end; ++i) {
+        if (tags_[i] == kNoTag)
             continue;
         ++stats_.counter("partition_reclaims");
         // Charged to core 0, whichever core's partition grew.
-        if (row[w].dirty && next_)
-            writeBack(row[w].tag << kBlockShift, 0, now);
-        row[w].valid = false;
-        tags_[static_cast<std::size_t>(set) * params_.ways + w] = kNoTag;
+        if (dirty_[i] && next_)
+            writeBack(tags_[i] << kBlockShift, 0, now);
+        tags_[i] = kNoTag;
+        dirty_[i] = 0;
     }
 }
 
@@ -782,11 +736,9 @@ Cache::serializeState(Serializer& s, const SnapshotCtx& ctx)
     static_assert(std::is_trivially_copyable_v<Block> &&
                   std::has_unique_object_representations_v<Block>);
     s.io(blocks_);
-    if (s.loading()) // derived: the dirty mirror is rebuilt, not saved
-        for (std::size_t i = 0; i < blocks_.size(); ++i)
-            dirty_[i] = blocks_[i].dirty;
     s.io(tags_);
     s.io(lru_);
+    s.io(dirty_);
     s.io(lruTick_);
     std::uint64_t outstanding = outstandingDownstream_;
     s.io(outstanding);

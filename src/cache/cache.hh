@@ -181,10 +181,6 @@ class Cache : public MemLevel, public RequestClient
     void functionalAccess(Addr addr, PC pc, int core, bool store,
                           Cycle now);
 
-    /** Functional-mode writeback from an upstream level: write-validate
-     *  semantics matching the detailed Writeback path. */
-    void functionalWriteback(Addr addr, Cycle now);
-
     /** Wake probe: re-present @p r, parked on an MSHR stall, after the
      *  resource it waited for freed (EventKind::Retry target). */
     void retryNow(MemRequest* r, Cycle now);
@@ -193,7 +189,7 @@ class Cache : public MemLevel, public RequestClient
     void forwardNow(MemRequest* down, Cycle now) { next_->access(down, now); }
 
     /**
-     * Snapshot every mutable field (blocks, tag mirror, MSHRs with
+     * Snapshot every mutable field (blocks, tag/LRU/dirty arrays, MSHRs with
      * swizzled waiter pointers, port state, stats). Geometry fields are
      * cross-checked, not restored: the restore side reconstructs the
      * cache from config first. Only legal between cycles (no fill in
@@ -242,20 +238,20 @@ class Cache : public MemLevel, public RequestClient
      * violation. Checks: MSHR occupancy within params.mshrs and matching
      * the count of downstream requests in flight (a mismatch means a
      * request was lost — the hierarchy would hang silently); every MSHR
-     * key block-aligned; every valid block's tag homed to its set.
-     * O(blocks); called periodically by the InvariantAuditor.
+     * key block-aligned; every valid way's tag homed to its set and its
+     * LRU stamp no later than the clock. O(blocks); called periodically
+     * by the InvariantAuditor.
      */
     void audit(Cycle now) const;
 
   private:
+    /** Per-way prefetch state. Tag, validity, LRU and dirtiness live
+     *  only in the packed tags_/lru_/dirty_ arrays. */
     struct Block
     {
-        bool valid = false;
-        bool dirty = false;
         bool prefetched = false;       //!< filled by a prefetch, unused yet
         bool prefetchOriginHere = false; //!< that prefetch originated here
-        std::uint8_t pad[4] = {};      //!< explicit, so snapshots are stable
-        Addr tag = 0;
+        std::uint8_t pad[6] = {};      //!< explicit, so snapshots are stable
         /** Install cycle; with telemetry on, the first demand hit on a
          *  prefetched block reports (now - fillAt) as fill-to-demand
          *  distance. Maintained unconditionally — one store into a row
@@ -291,24 +287,24 @@ class Cache : public MemLevel, public RequestClient
     };
 
     std::uint32_t setIndex(Addr addr) const;
-    Block* findBlock(Addr addr);
-    /** @p b's index in blocks_ and in the tags_/lru_/dirty_ mirrors. */
-    std::size_t
-    wayIndex(const Block* b) const
-    {
-        return static_cast<std::size_t>(b - blocks_.data());
-    }
-    /** Set @p b's dirty bit and its dirty_ mirror. */
-    void
-    markDirty(Block* b)
-    {
-        b->dirty = true;
-        dirty_[wayIndex(b)] = 1;
-    }
+    /** Index of @p addr's way in blocks_ and tags_/lru_/dirty_, or
+     *  kNoWay when it is not resident. */
+    std::size_t findWay(Addr addr) const;
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
     /** Book a request port: @p core's lane when arbCores > 0 (clamped
      *  to [0, arbCores)), else the shared pool. */
     Cycle reservePortFor(int core, Cycle now);
     void handleAt(MemRequest* req, Cycle start);
+    /** The demand lookup both modes share: bill the access (only when
+     *  @p fresh -- a request re-presented after an MSHR stall was billed
+     *  and trained the listener on first presentation), refresh LRU,
+     *  settle a pending prefetch as useful, dirty the line on a store,
+     *  and train the listener. Returns true on a hit. */
+    bool demandLookup(Addr addr, PC pc, int core, bool store, bool fresh,
+                      Cycle now);
+    /** Accept a writeback from an upstream level (write-validate):
+     *  dirty the resident line or install it dirty. Both modes. */
+    void acceptWriteback(Addr addr, std::int32_t core, Cycle now);
     /** When a request is parked and the MSHR table has a free slot,
      *  pop the oldest waiter and schedule its wake probe at @p now. One
      *  waiter per freed slot -- waking the whole list would send N-1
@@ -328,8 +324,8 @@ class Cache : public MemLevel, public RequestClient
      *  when the whole set is metadata-reserved. */
     unsigned pickVictimWay(std::size_t base, unsigned reserved) const;
     /** Write dirty block @p addr back to the next level: a Writeback
-     *  request in detailed mode, functionalWriteback in functional mode
-     *  (where a DRAM hop carries nothing and is skipped). */
+     *  request in detailed mode, a direct acceptWriteback in functional
+     *  mode (where a DRAM hop carries nothing and is skipped). */
     void writeBack(Addr addr, std::int32_t core, Cycle now);
     /** Tell the listener (non-null) about one demand access. */
     void notifyListener(Addr addr, PC pc, int core, bool store, bool hit,
@@ -367,21 +363,19 @@ class Cache : public MemLevel, public RequestClient
 
     std::uint32_t numSets_;
     std::vector<Block> blocks_; //!< numSets_ * ways, row-major
-    /** Tag mirror of blocks_ driving the hit scan: tags_[i] is
-     *  blocks_[i].tag when valid, kNoTag otherwise. Probing 8-byte tags
-     *  touches a third of the memory a Block-row scan does — and misses
-     *  (the common case under an MSHR retry storm) scan every way. */
+    /** Tags, the only copy: tags_[i] is way i's block number, kNoTag
+     *  when the way is invalid. Packed apart from the blocks so the hit
+     *  scan touches only 8 bytes per way -- misses (the common case
+     *  under an MSHR retry storm) scan every way. */
     std::vector<Addr> tags_;
-    /** LRU stamps, split out of Block the same way tags_ is: the install
-     *  victim scan reads one stamp per way, so a packed row costs two
-     *  cache lines instead of the whole Block row, and the hit path's
-     *  stamp refresh stays a single 8-byte store. lru_[i] is only
+    /** LRU stamps, packed the same way: the install victim scan reads
+     *  one stamp per way, so a set costs two cache lines, and the hit
+     *  path's stamp refresh is a single 8-byte store. lru_[i] is only
      *  meaningful while tags_[i] != kNoTag. */
     std::vector<std::uint64_t> lru_;
-    /** Dirty bits, split out the same way: dirty_[i] is
-     *  blocks_[i].dirty, so the fill path decides the victim's writeback
-     *  from tags_ and dirty_ without loading its Block row. Rebuilt
-     *  from blocks_ on restore (not serialized); audited. */
+    /** Dirty bits, packed the same way, so the fill path decides the
+     *  victim's writeback from tags_ and dirty_ alone. Invalid ways are
+     *  clean. */
     std::vector<std::uint8_t> dirty_;
     std::uint64_t lruTick_ = 0;
 

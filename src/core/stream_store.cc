@@ -53,8 +53,6 @@ StreamStore::StreamStore(const StreamStoreParams& params)
     setMask_ = params_.sets - 1;
     sampledMask_ = params_.sets / params_.sampledSets - 1;
     fullMask_ = static_cast<std::uint16_t>((1u << epb_) - 1);
-    denPow2_ = powerOfTwo(setDen_);
-    denMask_ = setDen_ - 1;
     if (params_.repl == MetaRepl::TpMockingjay)
         tpmj_ = std::make_unique<TpMockingjay>(params_.sets);
 }
@@ -105,12 +103,18 @@ StreamStore::markSlot(std::uint32_t set, unsigned way, unsigned idx,
         w = static_cast<std::uint16_t>(w & ~(1u << idx));
 }
 
-std::uint64_t
-StreamStore::setAllocation(unsigned set_den, unsigned ways)
+void
+StreamStore::setDenominator(unsigned set_den)
 {
     setDen_ = set_den;
     denPow2_ = powerOfTwo(setDen_);
     denMask_ = setDen_ - 1;
+}
+
+std::uint64_t
+StreamStore::setAllocation(unsigned set_den, unsigned ways)
+{
+    setDenominator(set_den);
     if (ways > 0 && ways <= params_.ways)
         ways_ = ways;
 
@@ -119,20 +123,13 @@ StreamStore::setAllocation(unsigned set_den, unsigned ways)
     for (std::uint32_t s = 0; s < params_.sets; ++s) {
         const bool live_set = allocated(s);
         for (unsigned w = 0; w < params_.ways; ++w) {
-            const bool live_way = live_set && w < ways_;
-            if (live_way || occWord(s, w) == 0)
+            if (live_set && w < ways_)
                 continue;
-            Slot* arr = slotArray(s, w);
-            for (unsigned i = 0; i < epb_; ++i) {
-                if (arr[i].valid) {
-                    arr[i].valid = false;
-                    --liveEntries_;
-                    ++dropped;
-                }
-            }
+            dropped += static_cast<unsigned>(std::popcount(occWord(s, w)));
             occWord(s, w) = 0;
         }
     }
+    liveEntries_ -= dropped;
     stats_.counter("allocation_drops") += dropped;
     return dropped;
 }
@@ -153,11 +150,12 @@ StreamStore::findTrigger(std::uint32_t set, Addr trigger,
     // common miss case into a byte compare per slot and skips empty
     // ways outright via the occupancy words.
     for (unsigned w = 0; w < ways_; ++w) {
-        if (occWord(set, w) == 0)
+        const std::uint16_t occ = occWord(set, w);
+        if (occ == 0)
             continue;
         Slot* arr = slotArray(set, w);
         for (unsigned i = 0; i < epb_; ++i) {
-            if (arr[i].ptag == ptag && arr[i].valid &&
+            if (arr[i].ptag == ptag && ((occ >> i) & 1u) &&
                 arr[i].entry.trigger == trigger)
                 return &arr[i];
         }
@@ -170,11 +168,12 @@ StreamStore::ageSet(std::uint32_t set)
 {
     if (tpmj_ && tpmj_->tickSet(set)) {
         for (unsigned w = 0; w < ways_; ++w) {
-            if (occWord(set, w) == 0)
+            const std::uint16_t occ = occWord(set, w);
+            if (occ == 0)
                 continue;
             Slot* arr = slotArray(set, w);
             for (unsigned i = 0; i < epb_; ++i) {
-                if (arr[i].valid && arr[i].etr > -TpMockingjay::kMaxEtr)
+                if (((occ >> i) & 1u) && arr[i].etr > -TpMockingjay::kMaxEtr)
                     --arr[i].etr;
             }
         }
@@ -222,11 +221,12 @@ StreamStore::chooseVictim(const Ref& ref)
     unsigned way_lo = 0, way_hi = ways_;
     if (params_.tagged) {
         for (unsigned w = 0; w < ways_; ++w) {
-            if (occWord(set, w) == 0)
+            const std::uint16_t occ = occWord(set, w);
+            if (occ == 0)
                 continue;
             Slot* arr = slotArray(set, w);
             for (unsigned i = 0; i < epb_; ++i) {
-                if (arr[i].valid && arr[i].ptag == ref.ptag) {
+                if (((occ >> i) & 1u) && arr[i].ptag == ref.ptag) {
                     way_lo = w;
                     way_hi = w + 1;
                     ++aliasConstrainedCtr_;
@@ -315,7 +315,14 @@ StreamStore::insert(const StreamEntry& e, PC pc)
     SL_CHECK(victim != nullptr, "stream_store",
              "no victim candidate in set " << set
                                            << " (broken way bounds)");
-    if (victim->valid && tpmj_) {
+    // Recover (way, slot) from the victim's position to read and keep
+    // its occupancy bit.
+    const std::size_t flat = static_cast<std::size_t>(victim -
+                                                      slots_.data());
+    const unsigned way = static_cast<unsigned>(flat / epb_ % params_.ways);
+    const unsigned idx = static_cast<unsigned>(flat % epb_);
+    const bool occupied = (occWord(set, way) >> idx) & 1u;
+    if (occupied && tpmj_) {
         // Mockingjay bypass: if the incoming entry is predicted to be
         // reused later than (or as late as) the chosen victim, storing
         // it can only displace something more valuable.
@@ -330,11 +337,10 @@ StreamStore::insert(const StreamEntry& e, PC pc)
             return InsertOutcome::Bypassed;
         }
     }
-    if (victim->valid) {
+    if (occupied) {
         ++evictionsCtr_;
         --liveEntries_;
     }
-    victim->valid = true;
     victim->entry = e;
     victim->ptag = ref.ptag;
     victim->pc = pc;
@@ -344,13 +350,7 @@ StreamStore::insert(const StreamEntry& e, PC pc)
                       : 0;
     ++liveEntries_;
     ++insertsCtr_;
-    // Recover (set, way, slot) from the victim's position to keep the
-    // occupancy word in step.
-    const std::size_t flat = static_cast<std::size_t>(victim -
-                                                      slots_.data());
-    markSlot(set,
-             static_cast<unsigned>(flat / epb_ % params_.ways),
-             static_cast<unsigned>(flat % epb_), true);
+    markSlot(set, way, idx, true);
     return InsertOutcome::Stored;
 }
 
@@ -361,7 +361,6 @@ StreamStore::erase(Addr trigger)
     if (!allocated(ref.set))
         return;
     if (Slot* s = findTrigger(ref.set, trigger, ref.ptag)) {
-        s->valid = false;
         --liveEntries_;
         const std::size_t flat = static_cast<std::size_t>(s -
                                                           slots_.data());
@@ -389,14 +388,9 @@ StreamStore::audit(Cycle now) const
             const std::uint16_t occ =
                 occ_[static_cast<std::size_t>(set) * params_.ways + w];
             for (unsigned i = 0; i < epb_; ++i) {
-                const Slot& s = slots_[base + i];
-                SL_CHECK_AT(((occ >> i) & 1u) == (s.valid ? 1u : 0u),
-                            "stream_store", now,
-                            "occupancy bit for set " << set << " way " << w
-                                << " slot " << i
-                                << " disagrees with the valid flag");
-                if (!s.valid)
+                if (!((occ >> i) & 1u))
                     continue;
+                const Slot& s = slots_[base + i];
                 ++live;
                 SL_CHECK_AT(allocated(set) && w < ways_, "stream_store",
                             now,
@@ -425,16 +419,18 @@ StreamStore::audit(Cycle now) const
     }
     SL_CHECK_AT(live == liveEntries_, "stream_store", now,
                 "live-entry counter " << liveEntries_ << " disagrees with "
-                                      << live << " valid slots");
+                                      << live << " occupied slots");
 }
 
 std::uint64_t
 StreamStore::correlations() const
 {
     std::uint64_t n = 0;
-    for (const auto& s : slots_) {
-        if (s.valid)
-            n += s.entry.length;
+    for (std::size_t word = 0; word < occ_.size(); ++word) {
+        for (unsigned i = 0; i < epb_; ++i) {
+            if ((occ_[word] >> i) & 1u)
+                n += slots_[word * epb_ + i].entry.length;
+        }
     }
     return n;
 }

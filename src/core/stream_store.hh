@@ -16,7 +16,8 @@
  * occupancy bitmasks let trigger scans skip empty ways and victim search
  * jump straight to the first free slot; the partial tag pre-filters the
  * trigger comparison (every valid slot's tag is derived from its stored
- * trigger, so the filter is exact).
+ * trigger, so the filter is exact). The occupancy words are the only
+ * record of which slots are valid.
  */
 
 #ifndef SL_CORE_STREAM_STORE_HH
@@ -164,16 +165,16 @@ class StreamStore
 
     /**
      * Audit the store's structural invariants; throws SimError on
-     * violation. Checks: the live-entry count matches the valid slots,
-     * every valid entry is homed to an allocated set, stream lengths
-     * respect the configured bound, stored partial tags match their
-     * triggers, and the occupancy masks mirror the valid bits.
+     * violation. Checks: the live-entry count matches the occupied
+     * slots, every valid entry is homed to an allocated set, stream
+     * lengths respect the configured bound, and stored partial tags
+     * match their triggers.
      */
     void audit(Cycle now) const;
 
     /** Snapshot the slot array, occupancy masks, current allocation, and
      *  replacement state. Geometry is rebuilt from params and only
-     *  cross-checked here. */
+     *  cross-checked here; the denominator's mask is rebuilt from it. */
     void
     serializeState(Serializer& s)
     {
@@ -185,15 +186,13 @@ class StreamStore
                  "sized for " << slots_.size());
         std::uint32_t den = setDen_;
         s.io(den);
-        setDen_ = den;
+        setDenominator(den);
         std::uint32_t w = ways_;
         s.io(w);
         SL_CHECK(w <= params_.ways, "stream_store",
                  "snapshot allocation " << w << " ways exceeds configured "
                  << params_.ways);
         ways_ = w;
-        s.io(denPow2_);
-        s.io(denMask_);
         static_assert(std::is_trivially_copyable_v<Slot> &&
                       std::has_unique_object_representations_v<Slot>);
         s.io(slots_);
@@ -205,15 +204,15 @@ class StreamStore
     }
 
   private:
+    /** One stream slot; its occupancy bit in occ_ says whether it is
+     *  valid. */
     struct Slot
     {
-        bool valid = false;
-        std::uint8_t pad0[7] = {}; //!< explicit, so snapshots are stable
         StreamEntry entry;
         std::uint16_t ptag = 0;
         std::uint8_t rrpv = 2;  //!< SRRIP state
         std::int8_t etr = 0;    //!< TP-Mockingjay estimated time remaining
-        std::uint8_t pad1[4] = {};
+        std::uint8_t pad[4] = {}; //!< explicit, so snapshots are stable
         PC pc = 0;
     };
 
@@ -223,6 +222,8 @@ class StreamStore
     void ageSet(std::uint32_t set);
     void markSlot(std::uint32_t set, unsigned way, unsigned idx, bool on);
     std::uint16_t& occWord(std::uint32_t set, unsigned way);
+    /** Set the allocation denominator and its derived fast-path mask. */
+    void setDenominator(unsigned set_den);
 
     StreamStoreParams params_;
     unsigned epb_;
@@ -230,11 +231,14 @@ class StreamStore
     unsigned ways_;
     std::uint32_t setMask_;     //!< sets - 1 (sets is a power of two)
     std::uint32_t sampledMask_; //!< sampled-set stride - 1
-    bool denPow2_ = true;       //!< UADP denominators {0,1,2} all qualify
+    /** Derived from setDen_ (setDenominator), never saved. UADP's
+     *  denominators {0,1,2} all qualify for the mask test. */
+    bool denPow2_ = true;
     std::uint32_t denMask_ = 0; //!< setDen_ - 1 when denPow2_
     std::uint16_t fullMask_;    //!< all-epb-slots-valid occupancy word
     std::vector<Slot> slots_;
-    /** Per-(set, way) valid bitmask; epb_ <= 14 fits a 16-bit word. */
+    /** Per-(set, way) valid bitmask, the only copy of slot validity;
+     *  epb_ <= 16 fits a 16-bit word. */
     std::vector<std::uint16_t> occ_;
     std::uint64_t liveEntries_ = 0;
     std::unique_ptr<TpMockingjay> tpmj_;

@@ -44,12 +44,11 @@ UtilityPartitioner::onPrefetchUseful()
 void
 UtilityPartitioner::rollAccuracyEpoch()
 {
-    lastAccuracy_ = ratio(usefulThisEpoch_, issuedThisEpoch_);
+    const double a = ratio(usefulThisEpoch_, issuedThisEpoch_);
     issuedThisEpoch_ = 0;
     usefulThisEpoch_ = 0;
 
     // §IV-E4 accuracy buckets.
-    const double a = lastAccuracy_;
     if (a < 0.10)
         weight_ = 1;
     else if (a < 0.25)

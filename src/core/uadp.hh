@@ -70,7 +70,6 @@ class UtilityPartitioner
         s.io(accessesThisEpoch_);
         s.io(issuedThisEpoch_);
         s.io(usefulThisEpoch_);
-        s.io(lastAccuracy_);
         std::uint32_t w = weight_;
         s.io(w);
         weight_ = w;
@@ -91,7 +90,6 @@ class UtilityPartitioner
     // Accuracy tracking in 2048-prefetch epochs.
     std::uint64_t issuedThisEpoch_ = 0;
     std::uint64_t usefulThisEpoch_ = 0;
-    double lastAccuracy_ = 0.0; //!< kept in snapshots (format v6)
     unsigned weight_ = 4;
 
     StatGroup stats_;

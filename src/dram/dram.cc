@@ -417,17 +417,20 @@ Dram::serializeState(Serializer& s, const SnapshotCtx& ctx)
             s.io(e.demand);
         }
     };
+    if (s.loading())
+        queuedReads_ = 0;
     for (Channel& c : channels_) {
         io_queue(c.readQ);
         io_queue(c.writeQ);
         s.io(c.draining);
         s.io(c.tickArmed);
         s.io(c.rrNext);
-        if (s.loading()) { // derived: recount queued reads by class
+        if (s.loading()) { // derived: recount queued reads, by class too
             SL_CHECK(c.rrNext < params_.requestors, "dram",
                      "snapshot round-robin cursor " << c.rrNext
                          << " is past the " << params_.requestors
                          << " requestors");
+            queuedReads_ += c.readQ.size();
             std::fill(c.classReads.begin(), c.classReads.end(), 0);
             for (const QueuedReq& e : c.readQ) {
                 SL_CHECK(e.core >= 0 && static_cast<unsigned>(e.core) <
@@ -439,11 +442,6 @@ Dram::serializeState(Serializer& s, const SnapshotCtx& ctx)
                 ++c.reads(e.core, e.demand);
             }
         }
-    }
-    if (!channels_.empty()) {
-        std::uint64_t qr = queuedReads_;
-        s.io(qr);
-        queuedReads_ = static_cast<std::size_t>(qr);
     }
     stats_.serializeState(s);
 }

@@ -83,9 +83,11 @@ class Prefetcher : public CacheListener
     virtual std::uint64_t storedCorrelations() const { return 0; }
 
     /**
-     * Stat group of the backing metadata store, or null when the design
-     * has no separate store (regular prefetchers, pairwise temporal
-     * designs that fold store stats into their own group).
+     * Stat group of the backing metadata store, or null. Only Streamline
+     * returns one. Regular prefetchers have no store; Triage and Triangel
+     * return null too, so their PairwiseStore counters (hits, misses,
+     * inserts, rearranged entries) reach no stat dump -- only
+     * metadataOps() reads them.
      */
     virtual const StatGroup* metadataStoreStats() const { return nullptr; }
 

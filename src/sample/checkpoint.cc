@@ -30,7 +30,11 @@ std::string
 checkpointPath(const std::string& dir, const RunConfig& cfg,
                const std::string& workload, std::size_t record)
 {
-    const std::string digest = snapshotDigest(cfg, {workload});
+    // The snapshot format leads the key, as the results version leads
+    // jobDigest's: after a format bump the older files are not found,
+    // so they regenerate instead of failing to restore.
+    const std::string digest = "v" + std::to_string(kSnapshotVersion) +
+                               '\0' + snapshotDigest(cfg, {workload});
     std::ostringstream os;
     if (!dir.empty())
         os << dir << '/';

@@ -25,8 +25,10 @@ namespace sl
 
 /**
  * Stable checkpoint file path for @p cfg x @p workload at record
- * boundary @p record: <dir>/sl_ckpt_<fnv1a(snapshotDigest)>_r<record>.bin.
- * The digest hash keys the file to the exact run identity; a stale file
+ * boundary @p record: <dir>/sl_ckpt_<hash>_r<record>.bin, where the hash
+ * is fnv1a over kSnapshotVersion and snapshotDigest. The hash keys the
+ * file to the snapshot format and the exact run identity: files an
+ * older format wrote are not found (they regenerate), and a stale file
  * from another config cannot collide silently because readSnapshotFile
  * re-verifies the full digest string on load.
  */

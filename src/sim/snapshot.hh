@@ -36,10 +36,17 @@ namespace sl
 class System;
 
 /** On-disk snapshot format version; bump on any payload layout change.
+ *  Sampled-run checkpoint names carry it (checkpointPath), so a bump
+ *  makes older checkpoints regenerate instead of failing to restore.
  *  v6: no LLC MSHR quota -- MSHR and request records drop their quota
  *  fields, each cache keeps one waiter list, and DRAM drops its
- *  per-core in-flight and queued-write counts. */
-constexpr std::uint32_t kSnapshotVersion = 6;
+ *  per-core in-flight and queued-write counts.
+ *  v7: each fact saved once -- cache blocks drop their tag, valid and
+ *  dirty copies (the dirty array is saved instead), stream slots their
+ *  valid flag, Triage and Triangel their partition size (the store's
+ *  is the one), and StreamStore's denominator mask, UADP's last
+ *  accuracy and DRAM's queued-read count are rebuilt, not saved. */
+constexpr std::uint32_t kSnapshotVersion = 7;
 
 /**
  * Serialize the full dynamic state of @p sys, paused between cycles at

@@ -22,11 +22,11 @@
  *
  * Cost model: components hold a raw `Telemetry*` that is null when
  * telemetry is disabled, so every probe folds to one pointer test on the
- * disabled fast path; the simspeed gate (scripts/check.sh) enforces the
- * <2% disabled-overhead bound. Enabled-mode cost is dominated by the
- * per-cycle occupancy probe and stays deterministic: telemetry never
- * changes simulated behaviour, only observes it (test_telemetry.cc pins
- * stat digests bit-identical with telemetry on and off).
+ * disabled fast path. No gate bounds that cost; what is pinned is that
+ * telemetry never changes simulated behaviour, only observes it
+ * (test_telemetry.cc pins stat digests bit-identical with telemetry on
+ * and off). Enabled-mode cost is dominated by the per-cycle occupancy
+ * probe.
  */
 
 #ifndef SL_TELEMETRY_TELEMETRY_HH

@@ -25,8 +25,7 @@ TriagePrefetcher::attach(Cache* owner, Cache* llc, EventQueue* eq,
     sp.entriesPerBlock = 16; // LUT-compressed targets
     store_.emplace(sp);
     store_->setFaultInjector(faults_);
-    currentWays_ = kMaxWays / 2;
-    store_->resize(currentWays_);
+    store_->resize(kMaxWays / 2);
     dataSampler_.emplace(std::min<std::uint32_t>(64, metadataSets()),
                          metadataSets(), llc_->ways());
 }
@@ -144,12 +143,11 @@ TriagePrefetcher::maybeResize(Cycle now)
     }
     dataSampler_->reset();
 
-    if (best_ways == currentWays_)
+    if (best_ways == store_->ways())
         return;
 
     ++stats_.counter("resizes");
-    const bool growing = best_ways > currentWays_;
-    currentWays_ = best_ways;
+    const bool growing = best_ways > store_->ways();
     const std::uint64_t moved = store_->resize(best_ways);
     stats_.counter("shuffle_blocks") += moved;
     llc_->metadataBulkTraffic(moved, now);

@@ -66,11 +66,9 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
     unsigned
     reservedWays(std::uint32_t set) const override
     {
-        if (unlimited_)
+        if (unlimited_ || !store_)
             return 0;
-        if (store_ && store_->sampledSet(set))
-            return kMaxWays;
-        return currentWays_;
+        return store_->sampledSet(set) ? kMaxWays : store_->ways();
     }
 
     /** Correlations currently stored (used by capacity probes). */
@@ -121,9 +119,6 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
         if (dataSampler_)
             dataSampler_->serializeState(s);
         s.io(accessesSinceResize_);
-        std::uint32_t cw = currentWays_;
-        s.io(cw);
-        currentWays_ = cw;
     }
 
   private:
@@ -165,7 +160,6 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
     // Partition sizing sampler (see temporal/sampler.hh).
     std::optional<LruStackSampler> dataSampler_;
     std::uint64_t accessesSinceResize_ = 0;
-    unsigned currentWays_ = 0;
 
     // Per-miss-path counters; lazily registered so stat snapshots (and
     // the determinism digests over them) are unchanged by the hoist.

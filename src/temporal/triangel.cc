@@ -28,9 +28,8 @@ TriangelPrefetcher::attach(Cache* owner, Cache* llc, EventQueue* eq,
     sp.utilityRepl = cfg_.useTpMockingjay;
     store_.emplace(sp);
     store_->setFaultInjector(faults_);
-    currentWays_ =
-        ideal_ ? cfg_.maxWays : startingAllocation(cfg_.maxWays / 2);
-    store_->resize(currentWays_);
+    store_->resize(ideal_ ? cfg_.maxWays
+                          : startingAllocation(cfg_.maxWays / 2));
     dataSampler_.emplace(std::min<std::uint32_t>(64, metadataSets()),
                          metadataSets(), llc_->ways());
 }
@@ -184,8 +183,8 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
         if (accessesSinceResize_ >= cfg_.resizeInterval) {
             maybeResize(info.cycle);
         } else if (const unsigned ways = pressureBetweenEpochs(
-                       currentWays_, cfg_.maxWays);
-                   ways != currentWays_) {
+                       currentWays(), cfg_.maxWays);
+                   ways != currentWays()) {
             resizeTo(ways, info.cycle);
             // A released store must also stop the MRB from chaining
             // prefetches off stale correlations it cached before.
@@ -199,7 +198,7 @@ TriangelPrefetcher::onAccess(const AccessInfo& info)
     // A released store holds nothing but the sampled measurement sets:
     // it bills no LLC metadata traffic and issues nothing (see
     // Prefetcher::released).
-    const bool off_llc = released(currentWays_);
+    const bool off_llc = released(currentWays());
 
     const Addr trigger = tu.lookahead ? tu.secondLast : tu.last;
     if (trigger != 0 && trigger != block) {
@@ -310,17 +309,16 @@ TriangelPrefetcher::maybeResize(Cycle now)
     dataSampler_->reset();
 
     // The shared-LLC release policy (prefetcher.hh) has the last word.
-    resizeTo(pressureAtEpoch(best_ways, currentWays_), now);
+    resizeTo(pressureAtEpoch(best_ways, currentWays()), now);
 }
 
 void
 TriangelPrefetcher::resizeTo(unsigned ways, Cycle now)
 {
-    if (ways == currentWays_)
+    if (ways == currentWays())
         return;
     ++stats_.counter("resizes");
-    const bool growing = ways > currentWays_;
-    currentWays_ = ways;
+    const bool growing = ways > currentWays();
     // The expensive part: misplaced entries shuffle through the LLC.
     const std::uint64_t moved = store_->resize(ways);
     stats_.counter("shuffle_blocks") += moved;

@@ -69,12 +69,12 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     unsigned
     reservedWays(std::uint32_t set) const override
     {
-        if (released(currentWays_))
+        if (released(currentWays()))
             return 0;
         // Sampled sets stay at full size (utility measurement).
         if (store_ && store_->sampledSet(set))
             return cfg_.maxWays;
-        return currentWays_;
+        return currentWays();
     }
 
     std::uint64_t storedCorrelations() const override
@@ -91,7 +91,8 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
         return s.get("hits") + s.get("misses") + s.get("inserts");
     }
 
-    unsigned currentWays() const { return currentWays_; }
+    /** The partition size; the store keeps the only copy. */
+    unsigned currentWays() const { return store_ ? store_->ways() : 0; }
 
     void
     serializeState(Serializer& s, const SnapshotCtx& ctx) override
@@ -115,9 +116,6 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
         if (dataSampler_)
             dataSampler_->serializeState(s);
         s.io(accessesSinceResize_);
-        std::uint32_t cw = currentWays_;
-        s.io(cw);
-        currentWays_ = cw;
         std::uint32_t shift = sampleShift_;
         s.io(shift);
         sampleShift_ = shift;
@@ -183,7 +181,6 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
 
     std::optional<LruStackSampler> dataSampler_;
     std::uint64_t accessesSinceResize_ = 0;
-    unsigned currentWays_ = 0;
 
     // Adaptive HS sampling rate (Triangel's 4-bit per-PC sample rate,
     // modelled globally): sample 1-in-2^sampleShift_ correlations, tuned

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the cache model: hit/miss paths, MSHR merging, writebacks,
- * prefetch semantics, metadata accounting, and partition reservation.
+ * prefetch semantics, metadata accounting, partition reservation, and
+ * equal billing in detailed and functional mode.
  */
 
 #include <gtest/gtest.h>
@@ -281,6 +282,100 @@ TEST_F(CacheFixture, StatsConsistency)
     const auto& s = cache->stats();
     EXPECT_EQ(s.get("demand_accesses"),
               s.get("demand_hits") + s.get("demand_misses"));
+}
+
+/** An L1 over an L2 over fixed-latency memory, for driving one access
+ *  sequence through either cache mode. */
+struct CacheChain
+{
+    CacheChain() : mem(eq, 100)
+    {
+        CacheParams p;
+        p.name = "l2";
+        p.sizeBytes = 4 * 1024; // 16 sets x 4 ways
+        p.ways = 4;
+        p.latency = 10;
+        p.mshrs = 4;
+        l2 = std::make_unique<Cache>(p, eq, &mem);
+        p.name = "l1";
+        p.sizeBytes = 1024; // 8 sets x 2 ways
+        p.ways = 2;
+        p.latency = 2;
+        l1 = std::make_unique<Cache>(p, eq, l2.get());
+    }
+
+    /** One demand access; detailed mode drains it to completion. */
+    void
+    access(Addr addr, bool store, Cycle now, bool functional)
+    {
+        if (functional) {
+            l1->functionalAccess(addr, 0, 0, store, now);
+            return;
+        }
+        auto* r = new MemRequest;
+        r->addr = addr;
+        r->kind = store ? ReqKind::DemandStore : ReqKind::DemandLoad;
+        r->client = &client;
+        l1->access(r, now);
+        drain(eq);
+    }
+
+    EventQueue eq;
+    ScriptedMemory mem;
+    std::unique_ptr<Cache> l2;
+    std::unique_ptr<Cache> l1;
+    RecordingClient client;
+};
+
+TEST(CacheModes, FunctionalAndDetailedAccessBillTheSame)
+{
+    // 24 blocks, all in L1 set 0 and in L2 sets 0 and 8, so both levels
+    // see conflict evictions; every fourth access revisits the block two
+    // back, which the 2-way L1 still holds; every third access is a
+    // store, so dirty victims write back from the L1 into the L2 and
+    // from the L2 out.
+    std::vector<Addr> seq;
+    for (unsigned i = 0; i < 300; ++i)
+        seq.push_back(i % 4 == 3 ? seq[i - 2]
+                                 : static_cast<Addr>((i * 7 + i / 11) % 24) *
+                                       8 * kBlockBytes);
+
+    CacheChain detailed, functional;
+    functional.l1->setFunctionalMode(true);
+    functional.l2->setFunctionalMode(true);
+    std::vector<bool> probe_hits[2];
+    for (CacheChain* c : {&detailed, &functional}) {
+        const bool fn = c == &functional;
+        Cycle t = 0;
+        for (std::size_t i = 0; i < seq.size(); ++i, t += 1000)
+            c->access(seq[i], i % 3 == 0, t, fn);
+        // Probe every touched block once more: equal hit patterns mean
+        // the two modes left the same blocks resident.
+        for (Addr b = 0; b < 24; ++b, t += 1000) {
+            const std::uint64_t hits = c->l1->stats().get("demand_hits");
+            c->access(b * 8 * kBlockBytes, false, t, fn);
+            probe_hits[fn].push_back(c->l1->stats().get("demand_hits") >
+                                     hits);
+        }
+    }
+    EXPECT_EQ(probe_hits[0], probe_hits[1]);
+
+    for (const char* ctr :
+         {"demand_accesses", "demand_stores", "demand_hits",
+          "demand_misses", "evictions", "writebacks", "writeback_in"}) {
+        EXPECT_EQ(detailed.l1->stats().get(ctr),
+                  functional.l1->stats().get(ctr))
+            << "l1 " << ctr;
+        EXPECT_EQ(detailed.l2->stats().get(ctr),
+                  functional.l2->stats().get(ctr))
+            << "l2 " << ctr;
+    }
+    // The sequence exercises what it claims to.
+    EXPECT_GT(detailed.l1->stats().get("writebacks"), 0u);
+    EXPECT_GT(detailed.l2->stats().get("writebacks"), 0u);
+    EXPECT_GT(detailed.l2->stats().get("evictions"), 0u);
+    EXPECT_GT(detailed.l2->stats().get("demand_hits"), 0u);
+    EXPECT_GT(detailed.l1->stats().get("demand_hits"), 0u);
 }
 
 } // namespace

@@ -198,8 +198,10 @@ TEST(StreamFastPath, TagPrefilterNeverFalselyMisses)
 
 TEST(StreamFastPath, OccupancyMasksSurviveChurn)
 {
-    // audit() cross-checks the per-(set, way) occupancy bits against the
-    // slot valid bits; drive every mutation path and keep it clean.
+    // The per-(set, way) occupancy bits are the only record of slot
+    // validity: audit() counts live entries and checks placement through
+    // them. Drive every mutation path and keep it clean; an erased slot
+    // keeps its stale trigger, so only its cleared bit hides it.
     StreamStore store(streamParams());
     store.setAllocation(1, 8);
     for (Addr t = 1; t <= 2000; ++t)
@@ -208,6 +210,8 @@ TEST(StreamFastPath, OccupancyMasksSurviveChurn)
     for (Addr t = 1; t <= 2000; t += 2)
         store.erase(t * 31);
     EXPECT_NO_THROW(store.audit(0));
+    for (Addr t = 1; t <= 2000; t += 2)
+        EXPECT_FALSE(store.lookup(t * 31).has_value()) << t;
     store.setAllocation(2, 8); // drops odd-set entries, clears their bits
     EXPECT_NO_THROW(store.audit(0));
     store.setAllocation(0, 8);

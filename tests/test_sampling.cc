@@ -14,17 +14,21 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "sample/checkpoint.hh"
 #include "sample/kmeans.hh"
 #include "sample/profile.hh"
 #include "sample/reassemble.hh"
 #include "sample/sampled.hh"
 #include "sim/runner.hh"
+#include "sim/snapshot.hh"
 #include "trace/workloads.hh"
 
 namespace sl
@@ -245,6 +249,47 @@ TEST(SamplingCheckpoint, SecondGenerationReusesFiles)
     EXPECT_EQ(generateCheckpoints(cfg, "spec06_mcf", records,
                                   dir.path()),
               0u);
+}
+
+TEST(SamplingCheckpoint, OlderFormatCheckpointsRegenerate)
+{
+    // A checkpoint directory filled by a build with the previous snapshot
+    // format: same run identity, older header. Builds up to format v6
+    // named files by the config digest alone, so the stale file sits
+    // exactly where such a build would look.
+    ScratchDir dir("sl_test_sampling_ckpt_format");
+    RunConfig cfg = smallConfig();
+    const TracePtr trace = getTrace("spec06_mcf", cfg.traceScale,
+                                    cfg.seed);
+    const std::size_t record = trace->records.size() / 2;
+    ASSERT_EQ(generateCheckpoints(cfg, "spec06_mcf", {record}, dir.path()),
+              1u);
+    const std::string fresh =
+        checkpointPath(dir.path(), cfg, "spec06_mcf", record);
+    std::vector<char> bytes;
+    {
+        std::ifstream in(fresh, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(bytes.size(), 12u);
+    bytes[8] = static_cast<char>(kSnapshotVersion - 1); // u32 after magic
+    const std::string digest = snapshotDigest(cfg, {"spec06_mcf"});
+    std::ostringstream legacy;
+    legacy << dir.path() << "/sl_ckpt_" << std::hex << std::setw(16)
+           << std::setfill('0') << fnv1a(digest.data(), digest.size())
+           << std::dec << "_r" << record << ".bin";
+    std::filesystem::remove(fresh);
+    std::ofstream(legacy.str(), std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+    // The stale file must not satisfy the warm path: the boundary is
+    // generated again and restores.
+    EXPECT_NE(fresh, legacy.str());
+    EXPECT_EQ(generateCheckpoints(cfg, "spec06_mcf", {record}, dir.path()),
+              1u);
+    RunHooks hooks;
+    hooks.restorePath = fresh;
+    EXPECT_NO_THROW(runWorkloadsRaw(cfg, {"spec06_mcf"}, hooks));
 }
 
 TEST(SamplingRun, DeterministicAcrossThreadCounts)
