@@ -29,8 +29,7 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "prefetch/registry.hh"
-#include "sim/system.hh"
+#include "sim/runner.hh"
 #include "trace/workloads.hh"
 
 namespace
@@ -69,8 +68,8 @@ timeCell(const std::string& config, const std::string& l2,
          const std::string& workload, double scale, unsigned repetitions,
          const TelemetryConfig* telemetry = nullptr, unsigned cores = 1)
 {
-    PrefetcherRegistry& reg = prefetcherRegistry();
-    const PrefetcherTuning tuning; // registry defaults for every family
+    RunConfig cfg; // stride L1D, default tuning for every design
+    cfg.l2 = l2;
 
     Cell cell;
     cell.config = config;
@@ -81,11 +80,8 @@ timeCell(const std::string& config, const std::string& l2,
         std::vector<TracePtr> traces;
         for (unsigned c = 0; c < cores; ++c)
             traces.push_back(getTrace(workload, scale, /*seed=*/1));
-        SystemConfig sc;
+        SystemConfig sc = systemConfigFor(cfg);
         sc.cores = cores;
-        sc.l1dPrefetcher =
-            reg.make("stride", PrefetcherRegistry::L1, tuning);
-        sc.l2Prefetcher = reg.make(l2, PrefetcherRegistry::L2, tuning);
         if (telemetry)
             sc.telemetry = *telemetry;
 

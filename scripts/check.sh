@@ -21,7 +21,9 @@
 # archive` into build-identity/, builds REV and the working tree in
 # Release, then requires byte-identical `SL_DUMP_STATS=1 sl_run` output
 # on a fixed cell list (1, 4 and 8 cores, both ideal modes, a berti L1,
-# telemetry on), an equal "sampled" object from one sampled run (the
+# telemetry on), the same prefetcher naming (the `--list-prefetchers`
+# text, and the diagnostic and exit code of a misspelt `--l2` and of an
+# L2-only `--l1`), an equal "sampled" object from one sampled run (the
 # functional-warmup path; each build gets its own fresh checkpoint
 # directory), and equal figure-bench ==JSON== at SL_BENCH_SCALE=0.05
 # SL_MIX_COUNT=2 once wall_seconds and threads are dropped. It needs a
@@ -439,6 +441,28 @@ identity() {
         fi
         echo "identical: sl_run ${cell}"
         i=$((i + 1))
+    done
+
+    # Prefetcher naming: what each invocation prints, and its exit code.
+    local naming=("--list-prefetchers" "--l2 streamlime spec06_mcf"
+                  "--l1 streamline spec06_mcf")
+    local rc
+    for cell in "${naming[@]}"; do
+        for side in rev head; do
+            # shellcheck disable=SC2086
+            "${dir}/${side}/src/sim/sl_run" ${cell} \
+                > "${dir}/naming.${side}.out" 2>&1 && rc=0 || rc=$?
+            echo "exit ${rc}" >> "${dir}/naming.${side}.out"
+        done
+        if ! cmp -s "${dir}/naming.rev.out" "${dir}/naming.head.out"
+        then
+            echo "FAIL: sl_run ${cell}: output or exit code differs" \
+                "from ${rev}"
+            diff "${dir}/naming.rev.out" "${dir}/naming.head.out" |
+                head -20 || true
+            exit 1
+        fi
+        echo "identical: sl_run ${cell} (output and exit code)"
     done
 
     # Sampled cell: functional warmup writes the checkpoints, so each

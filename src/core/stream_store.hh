@@ -90,9 +90,6 @@ class StreamStore
     /** Derive the home set and partial tag of @p trigger (one hash). */
     Ref refOf(Addr trigger) const;
 
-    /** Stream entries per metadata block at this stream length. */
-    unsigned entriesPerBlock() const { return epb_; }
-
     /**
      * Home set of @p trigger under the static (max-size) index function.
      */

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/hash.hh"
-#include "prefetch/registry.hh"
 
 namespace sl
 {
@@ -399,23 +398,8 @@ StreamlinePrefetcher::applyAllocation(unsigned den, unsigned ways,
     store_->setAllocation(den, ways);
     // Newly allocated sets evict their resident data blocks; filtered
     // indexing means *no metadata moves* (the win over Triangel, §IV-C).
-    for (std::uint32_t s = 0; s < metadataSets(); ++s) {
-        if (store_->allocated(s))
-            llc_->reclaimReservedWays(physicalSet(s), now);
-    }
-}
-
-void
-registerStreamlinePrefetchers(PrefetcherRegistry& reg)
-{
-    reg.add("streamline", PrefetcherRegistry::L2,
-            [](const PrefetcherTuning& t) -> PrefetcherFactory {
-                const StreamlineConfig cfg =
-                    t.streamline ? *t.streamline : StreamlineConfig{};
-                return [cfg](int) {
-                    return std::make_unique<StreamlinePrefetcher>(cfg);
-                };
-            });
+    // Unallocated sets reserve no ways, so reclaiming them is a no-op.
+    reclaimMetadataWays(now);
 }
 
 } // namespace sl

@@ -19,7 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/ring_buffer.hh"
 #include "core/stream_store.hh"
 #include "core/uadp.hh"
 #include "prefetch/prefetcher.hh"

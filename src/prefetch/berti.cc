@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/hash.hh"
-#include "prefetch/registry.hh"
 
 namespace sl
 {
@@ -83,15 +82,6 @@ BertiPrefetcher::onAccess(const AccessInfo& info)
             d.tries /= 2;
         }
     }
-}
-
-void
-registerBertiPrefetchers(PrefetcherRegistry& reg)
-{
-    reg.add("berti", PrefetcherRegistry::Both,
-            [](const PrefetcherTuning&) -> PrefetcherFactory {
-                return [](int) { return std::make_unique<BertiPrefetcher>(); };
-            });
 }
 
 } // namespace sl

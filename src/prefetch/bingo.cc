@@ -1,7 +1,6 @@
 #include "prefetch/bingo.hh"
 
 #include "common/hash.hh"
-#include "prefetch/registry.hh"
 
 namespace sl
 {
@@ -70,15 +69,6 @@ BingoPrefetcher::onAccess(const AccessInfo& info)
         retireRegion(oldest->first, oldest->second);
         live_.erase(oldest);
     }
-}
-
-void
-registerBingoPrefetchers(PrefetcherRegistry& reg)
-{
-    reg.add("bingo", PrefetcherRegistry::Both,
-            [](const PrefetcherTuning&) -> PrefetcherFactory {
-                return [](int) { return std::make_unique<BingoPrefetcher>(); };
-            });
 }
 
 } // namespace sl

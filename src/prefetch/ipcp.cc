@@ -1,7 +1,6 @@
 #include "prefetch/ipcp.hh"
 
 #include "common/hash.hh"
-#include "prefetch/registry.hh"
 
 namespace sl
 {
@@ -96,15 +95,6 @@ IpcpPrefetcher::onAccess(const AccessInfo& info)
         for (unsigned d = 1; d <= 2; ++d)
             prefetch((block + d) << kBlockShift, info.pc, info.cycle);
     }
-}
-
-void
-registerIpcpPrefetchers(PrefetcherRegistry& reg)
-{
-    reg.add("ipcp", PrefetcherRegistry::Both,
-            [](const PrefetcherTuning&) -> PrefetcherFactory {
-                return [](int) { return std::make_unique<IpcpPrefetcher>(); };
-            });
 }
 
 } // namespace sl

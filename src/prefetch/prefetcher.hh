@@ -161,6 +161,15 @@ class Prefetcher : public CacheListener
         return virt * totalCores_ + static_cast<std::uint32_t>(coreId_);
     }
 
+    /** After the partition grew: evict the data resident in the LLC ways
+     *  each of this core's metadata sets now reserves. */
+    void
+    reclaimMetadataWays(Cycle now)
+    {
+        for (std::uint32_t s = 0; s < metadataSets(); ++s)
+            llc_->reclaimReservedWays(physicalSet(s), now);
+    }
+
     /** Fold the shared-memory pressure level into the current pressure
      *  epoch; call once per training event (no-op single-core). */
     void
@@ -326,9 +335,8 @@ class Prefetcher : public CacheListener
     Counter& issuedCtr_{stats_.counter("issued")};
 };
 
-/** Factory invoked per core by the System builder. */
-using PrefetcherFactory =
-    std::function<std::unique_ptr<Prefetcher>(int core_id)>;
+/** Factory invoked once per core by the System builder. */
+using PrefetcherFactory = std::function<std::unique_ptr<Prefetcher>()>;
 
 } // namespace sl
 

@@ -1,7 +1,6 @@
 #include "prefetch/spp.hh"
 
 #include "common/hash.hh"
-#include "prefetch/registry.hh"
 
 namespace sl
 {
@@ -85,15 +84,6 @@ SppPrefetcher::onAccess(const AccessInfo& info)
         if (f > -16)
             --f;
     }
-}
-
-void
-registerSppPrefetchers(PrefetcherRegistry& reg)
-{
-    reg.add("spp_ppf", PrefetcherRegistry::Both,
-            [](const PrefetcherTuning&) -> PrefetcherFactory {
-                return [](int) { return std::make_unique<SppPrefetcher>(); };
-            });
 }
 
 } // namespace sl

@@ -1,7 +1,6 @@
 #include "prefetch/stride.hh"
 
 #include "common/hash.hh"
-#include "prefetch/registry.hh"
 
 namespace sl
 {
@@ -50,16 +49,6 @@ StridePrefetcher::onAccess(const AccessInfo& info)
                      info.cycle);
         }
     }
-}
-
-void
-registerStridePrefetchers(PrefetcherRegistry& reg)
-{
-    // Degree 3 at either level (the paper's L1D baseline prefetcher).
-    reg.add("stride", PrefetcherRegistry::Both,
-            [](const PrefetcherTuning&) -> PrefetcherFactory {
-                return [](int) { return std::make_unique<StridePrefetcher>(3); };
-            });
 }
 
 } // namespace sl

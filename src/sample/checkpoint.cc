@@ -24,24 +24,31 @@ fileExists(const std::string& path)
     return std::ifstream(path, std::ios::binary).good();
 }
 
+/** File-name prefix of the checkpoints of the run @p digest names,
+ *  written in snapshot format @p version. The format leads the key, as
+ *  the results version leads jobDigest's: after a format bump the older
+ *  files are not found, so they regenerate instead of failing to
+ *  restore. Up to v6 the key was the digest alone (@p version 0). */
+std::string
+keyPrefix(std::uint32_t version, const std::string& digest)
+{
+    const std::string key =
+        version ? "v" + std::to_string(version) + '\0' + digest : digest;
+    std::ostringstream os;
+    os << "sl_ckpt_" << std::hex << std::setw(16) << std::setfill('0')
+       << fnv1a(key.data(), key.size()) << "_r";
+    return os.str();
+}
+
 } // namespace
 
 std::string
 checkpointPath(const std::string& dir, const RunConfig& cfg,
                const std::string& workload, std::size_t record)
 {
-    // The snapshot format leads the key, as the results version leads
-    // jobDigest's: after a format bump the older files are not found,
-    // so they regenerate instead of failing to restore.
-    const std::string digest = "v" + std::to_string(kSnapshotVersion) +
-                               '\0' + snapshotDigest(cfg, {workload});
-    std::ostringstream os;
-    if (!dir.empty())
-        os << dir << '/';
-    os << "sl_ckpt_" << std::hex << std::setw(16) << std::setfill('0')
-       << fnv1a(digest.data(), digest.size()) << std::dec << "_r"
-       << record << ".bin";
-    return os.str();
+    return (dir.empty() ? "" : dir + '/') +
+           keyPrefix(kSnapshotVersion, snapshotDigest(cfg, {workload})) +
+           std::to_string(record) + ".bin";
 }
 
 std::size_t
@@ -80,6 +87,18 @@ generateCheckpoints(const RunConfig& cfg, const std::string& workload,
                    "cannot create checkpoint directory '"
                        << dir << "': " << ec.message());
     }
+    // This run's files from older formats cannot be restored: delete
+    // them, so format bumps do not pile up full sets. Other runs' stay.
+    const std::string digest = snapshotDigest(cfg, {workload});
+    std::vector<std::string> stale{keyPrefix(0, digest)};
+    for (std::uint32_t v = 7; v < kSnapshotVersion; ++v)
+        stale.push_back(keyPrefix(v, digest));
+    std::error_code ec;
+    for (const auto& e : std::filesystem::directory_iterator(
+             dir.empty() ? "." : dir, ec))
+        for (const auto& p : stale)
+            if (e.path().filename().string().rfind(p, 0) == 0)
+                std::filesystem::remove(e.path(), ec);
 
     cfg.validate();
     std::vector<TracePtr> traces{getTrace(workload, cfg.traceScale,
@@ -101,7 +120,6 @@ generateCheckpoints(const RunConfig& cfg, const std::string& workload,
     };
     setFunctional(true);
 
-    const std::string digest = snapshotDigest(cfg, {workload});
     const Addr offset = 0; // core 0: no address-space offset
 
     // Pseudo-clock: one cycle per instruction (memory op + its bubbles),

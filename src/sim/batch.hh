@@ -98,7 +98,6 @@ class BatchRunner
     explicit BatchRunner(unsigned threads = 0, BatchOptions opts = {});
 
     unsigned threads() const { return threads_; }
-    const BatchOptions& options() const { return opts_; }
 
     std::vector<JobResult> run(const std::vector<ExperimentSpec>& specs)
         const;

@@ -154,8 +154,6 @@ class ProgressWatchdog
             trip(now);
     }
 
-    Cycle window() const { return window_; }
-
     /** Snapshot the progress-tracking state (probe schedule included). */
     void
     serializeState(Serializer& s)

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -12,10 +14,15 @@
 #include <sstream>
 
 #include "common/error.hh"
-#include "prefetch/registry.hh"
+#include "prefetch/berti.hh"
+#include "prefetch/bingo.hh"
+#include "prefetch/ipcp.hh"
+#include "prefetch/spp.hh"
+#include "prefetch/stride.hh"
 #include "sample/sampled.hh"
 #include "sim/batch.hh"
 #include "sim/snapshot.hh"
+#include "temporal/triage.hh"
 #include "trace/mix.hh"
 
 namespace sl
@@ -24,13 +31,50 @@ namespace sl
 namespace
 {
 
-PrefetcherTuning
-tuningFor(const RunConfig& cfg)
+/** A design built with its default parameters: it reads no tuning. */
+template <typename P>
+std::unique_ptr<Prefetcher>
+byDefault(const RunConfig&)
 {
-    PrefetcherTuning t;
-    t.streamline = &cfg.streamline;
-    t.triangel = &cfg.triangel;
-    return t;
+    return std::make_unique<P>();
+}
+
+/** Append " <name>" for every design that can attach at the L1D
+ *  (@p l1) or the L2, in table order. */
+void
+listPrefetchers(std::ostream& os, bool l1)
+{
+    for (const auto& d : prefetcherDesigns())
+        if (d.l1 || !l1)
+            os << " " << d.name;
+}
+
+/** findPrefetcher, or a SimError naming what that level accepts. */
+const PrefetcherDesign&
+requirePrefetcher(const std::string& name, bool l1)
+{
+    if (const PrefetcherDesign* d = findPrefetcher(name, l1))
+        return *d;
+    const char* where = l1 ? "L1" : "L2";
+    std::ostringstream msg;
+    if (findPrefetcher(name, false))
+        msg << "prefetcher '" << name << "' cannot attach at " << where;
+    else
+        msg << "unknown prefetcher '" << name << "'";
+    msg << "; " << where << " names:";
+    listPrefetchers(msg, l1);
+    throw SimError("prefetcher_registry", kNoErrorCycle, msg.str(),
+                   "[prefetcher_registry] " + msg.str());
+}
+
+/** The per-core factory for @p name; it holds its own copy of @p cfg. */
+PrefetcherFactory
+factoryFor(const std::string& name, bool l1, const RunConfig& cfg)
+{
+    const auto make = requirePrefetcher(name, l1).make;
+    if (!make)
+        return {};
+    return [make, cfg] { return make(cfg); };
 }
 
 /**
@@ -71,16 +115,64 @@ dumpSystemStats(System& sys, std::ostream& os)
 
 } // namespace
 
+const std::vector<PrefetcherDesign>&
+prefetcherDesigns()
+{
+    using Built = std::unique_ptr<Prefetcher>;
+    static const std::vector<PrefetcherDesign> designs = {
+        // "none" is a real row so validation accepts it and the listing
+        // shows it; it builds nothing.
+        {"none", true, nullptr},
+        // Degree 3 at either level (the paper's L1D baseline prefetcher).
+        {"stride", true, byDefault<StridePrefetcher>},
+        {"berti", true, byDefault<BertiPrefetcher>},
+        {"ipcp", true, byDefault<IpcpPrefetcher>},
+        {"bingo", true, byDefault<BingoPrefetcher>},
+        {"spp_ppf", true, byDefault<SppPrefetcher>},
+        {"streamline", false,
+         [](const RunConfig& c) -> Built {
+             return std::make_unique<StreamlinePrefetcher>(c.streamline);
+         }},
+        {"triage", false, byDefault<TriagePrefetcher>},
+        // The ideal variants are the same classes with unbounded
+        // zero-cost metadata (Triage) or a dedicated full-size store and
+        // no LLC metadata (Triangel); these names are the only way to
+        // select them.
+        {"triage_ideal", false,
+         [](const RunConfig&) -> Built {
+             return std::make_unique<TriagePrefetcher>(TriageConfig{},
+                                                       /*unlimited=*/true);
+         }},
+        {"triangel", false,
+         [](const RunConfig& c) -> Built {
+             return std::make_unique<TriangelPrefetcher>(c.triangel);
+         }},
+        {"triangel_ideal", false,
+         [](const RunConfig& c) -> Built {
+             return std::make_unique<TriangelPrefetcher>(c.triangel,
+                                                         /*ideal=*/true);
+         }},
+    };
+    return designs;
+}
+
+const PrefetcherDesign*
+findPrefetcher(const std::string& name, bool l1)
+{
+    for (const auto& d : prefetcherDesigns())
+        if (d.name == name)
+            return d.l1 || !l1 ? &d : nullptr;
+    return nullptr;
+}
+
 SystemConfig
 systemConfigFor(const RunConfig& cfg)
 {
-    const PrefetcherTuning tuning = tuningFor(cfg);
-    PrefetcherRegistry& reg = prefetcherRegistry();
     SystemConfig sc;
     sc.cores = cfg.cores;
     sc.dramMTs = cfg.dramMTs;
-    sc.l1dPrefetcher = reg.make(cfg.l1, PrefetcherRegistry::L1, tuning);
-    sc.l2Prefetcher = reg.make(cfg.l2, PrefetcherRegistry::L2, tuning);
+    sc.l1dPrefetcher = factoryFor(cfg.l1, true, cfg);
+    sc.l2Prefetcher = factoryFor(cfg.l2, false, cfg);
     sc.faults = cfg.faults;
     sc.hardening = cfg.hardening;
     sc.telemetry = cfg.telemetry;
@@ -100,9 +192,8 @@ RunConfig::validate() const
     faults.validate();
     hardening.validate();
     telemetry.validate();
-    PrefetcherRegistry& reg = prefetcherRegistry();
-    reg.require(l1, PrefetcherRegistry::L1);
-    reg.require(l2, PrefetcherRegistry::L2);
+    requirePrefetcher(l1, true);
+    requirePrefetcher(l2, false);
 }
 
 std::string
@@ -472,7 +563,7 @@ printUsage(std::ostream& os)
           "(wedges the run;\n"
           "                          pair with --job-timeout or a "
           "watchdog)\n"
-          "  --list-prefetchers      print registered prefetcher names "
+          "  --list-prefetchers      print each level's prefetcher names "
           "and exit\n"
           "  --help                  this text\n";
 }
@@ -486,11 +577,10 @@ firstLine(const std::string& s)
 }
 
 void
-printNames(std::ostream& os, const char* level, int mask)
+printNames(std::ostream& os, const char* level, bool l1)
 {
     os << level << ":";
-    for (const auto& n : prefetcherRegistry().names(mask))
-        os << " " << n;
+    listPrefetchers(os, l1);
     os << "\n";
 }
 
@@ -642,14 +732,14 @@ runFaultCampaign(const RunConfig& base,
 
 /** True when the prefetcher selection is known; complains otherwise. */
 bool
-checkPrefetcher(const std::string& name, int level, const char* flag)
+checkPrefetcher(const std::string& name, bool l1, const char* flag)
 {
-    if (prefetcherRegistry().has(name, level))
+    if (findPrefetcher(name, l1))
         return true;
     std::cerr << "sl_run: unknown " << flag << " prefetcher '" << name
               << "'; available:\n";
-    printNames(std::cerr, "  l1", PrefetcherRegistry::L1);
-    printNames(std::cerr, "  l2", PrefetcherRegistry::L2);
+    printNames(std::cerr, "  l1", true);
+    printNames(std::cerr, "  l2", false);
     return false;
 }
 
@@ -679,6 +769,19 @@ runnerMain(int argc, char** argv)
         }
         return argv[++i];
     };
+    // Numeric flags take their whole value, with no sign, or fail.
+    auto number = [&](int& i, const char* flag, auto& out) {
+        const char* v = value(i, flag);
+        if (!v)
+            return false;
+        const char* end = v + std::strlen(v);
+        const auto [p, ec] = std::from_chars(v, end, out);
+        if (*v != '-' && ec == std::errc() && p == end)
+            return true;
+        std::cerr << "sl_run: " << flag << " needs a number, got '" << v
+                  << "'\n";
+        return false;
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -687,8 +790,8 @@ runnerMain(int argc, char** argv)
             printUsage(std::cout);
             return 0;
         } else if (arg == "--list-prefetchers") {
-            printNames(std::cout, "l1", PrefetcherRegistry::L1);
-            printNames(std::cout, "l2", PrefetcherRegistry::L2);
+            printNames(std::cout, "l1", true);
+            printNames(std::cout, "l2", false);
             return 0;
         } else if (arg == "--l1") {
             if (!(v = value(i, "--l1")))
@@ -699,9 +802,8 @@ runnerMain(int argc, char** argv)
                 return 2;
             cfg.l2 = v;
         } else if (arg == "--cores") {
-            if (!(v = value(i, "--cores")))
+            if (!number(i, "--cores", cores))
                 return 2;
-            cores = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         } else if (arg == "--mix") {
             if (!(v = value(i, "--mix")))
                 return 2;
@@ -721,25 +823,21 @@ runnerMain(int argc, char** argv)
             }
             workloads.insert(workloads.end(), mix.begin(), mix.end());
         } else if (arg == "--scale") {
-            if (!(v = value(i, "--scale")))
+            if (!number(i, "--scale", cfg.traceScale))
                 return 2;
-            cfg.traceScale = std::strtod(v, nullptr);
         } else if (arg == "--seed") {
-            if (!(v = value(i, "--seed")))
+            if (!number(i, "--seed", cfg.seed))
                 return 2;
-            cfg.seed = std::strtoull(v, nullptr, 10);
         } else if (arg == "--dram-mts") {
-            if (!(v = value(i, "--dram-mts")))
+            if (!number(i, "--dram-mts", cfg.dramMTs))
                 return 2;
-            cfg.dramMTs =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         } else if (arg == "--telemetry") {
             telemetry = true;
         } else if (arg == "--telemetry-interval") {
-            if (!(v = value(i, "--telemetry-interval")))
+            if (!number(i, "--telemetry-interval",
+                        cfg.telemetry.intervalCycles))
                 return 2;
             telemetry = true;
-            cfg.telemetry.intervalCycles = std::strtoull(v, nullptr, 10);
         } else if (arg == "--telemetry-out") {
             if (!(v = value(i, "--telemetry-out")))
                 return 2;
@@ -751,9 +849,8 @@ runnerMain(int argc, char** argv)
             telemetry = true;
             cfg.telemetry.tracePath = v;
         } else if (arg == "--snapshot-at") {
-            if (!(v = value(i, "--snapshot-at")))
+            if (!number(i, "--snapshot-at", hooks.snapshotAt))
                 return 2;
-            hooks.snapshotAt = std::strtoull(v, nullptr, 10);
         } else if (arg == "--snapshot-out") {
             if (!(v = value(i, "--snapshot-out")))
                 return 2;
@@ -770,35 +867,29 @@ runnerMain(int argc, char** argv)
             sweep = true;
             batch_opts.manifestPath = v;
         } else if (arg == "--job-timeout") {
-            if (!(v = value(i, "--job-timeout")))
+            if (!number(i, "--job-timeout", batch_opts.jobTimeoutSec))
                 return 2;
-            batch_opts.jobTimeoutSec = std::strtod(v, nullptr);
             hooks.wallTimeoutSec = batch_opts.jobTimeoutSec;
         } else if (arg == "--retries") {
-            if (!(v = value(i, "--retries")))
+            if (!number(i, "--retries", batch_opts.maxRetries))
                 return 2;
             sweep = true;
-            batch_opts.maxRetries =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         } else if (arg == "--sample") {
             sample = true;
         } else if (arg == "--sample-report") {
             sample_report = true;
         } else if (arg == "--sample-intervals") {
-            if (!(v = value(i, "--sample-intervals")))
+            if (!number(i, "--sample-intervals", sample_opts.intervals))
                 return 2;
             sample = true;
-            sample_opts.intervals = std::strtoull(v, nullptr, 10);
         } else if (arg == "--sample-k") {
-            if (!(v = value(i, "--sample-k")))
+            if (!number(i, "--sample-k", sample_opts.k))
                 return 2;
             sample = true;
-            sample_opts.k = std::strtoull(v, nullptr, 10);
         } else if (arg == "--sample-warmup") {
-            if (!(v = value(i, "--sample-warmup")))
+            if (!number(i, "--sample-warmup", sample_opts.warmupRecords))
                 return 2;
             sample = true;
-            sample_opts.warmupRecords = std::strtoull(v, nullptr, 10);
         } else if (arg == "--sample-dir") {
             if (!(v = value(i, "--sample-dir")))
                 return 2;
@@ -807,9 +898,8 @@ runnerMain(int argc, char** argv)
         } else if (arg == "--fault-campaign") {
             fault_campaign = true;
         } else if (arg == "--fault-lose-request") {
-            if (!(v = value(i, "--fault-lose-request")))
+            if (!number(i, "--fault-lose-request", cfg.faults.loseRequestRate))
                 return 2;
-            cfg.faults.loseRequestRate = std::strtod(v, nullptr);
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "sl_run: unknown option '" << arg << "'\n";
             printUsage(std::cerr);
@@ -828,11 +918,11 @@ runnerMain(int argc, char** argv)
         return 2;
     }
 
-    // Friendly up-front name checks: print the registered names instead
-    // of an exception trace (getTrace throws std::invalid_argument for
+    // Friendly up-front name checks: print the known names instead of
+    // an exception trace (getTrace throws std::invalid_argument for
     // unknown workloads, which would otherwise escape main).
-    if (!checkPrefetcher(cfg.l1, PrefetcherRegistry::L1, "--l1") ||
-        !checkPrefetcher(cfg.l2, PrefetcherRegistry::L2, "--l2"))
+    if (!checkPrefetcher(cfg.l1, true, "--l1") ||
+        !checkPrefetcher(cfg.l2, false, "--l2"))
         return 2;
     const std::vector<std::string> known = workloadNames();
     for (const auto& w : workloads) {

@@ -25,10 +25,10 @@ namespace sl
 struct RunConfig
 {
     unsigned cores = 1;
-    std::string l1 = "stride";   //!< L1D prefetcher registry name
-    std::string l2 = "none";     //!< L2 prefetcher registry name
-    StreamlineConfig streamline; //!< used by the "streamline" factory
-    TriangelConfig triangel;     //!< used by the "triangel*" factories
+    std::string l1 = "stride";   //!< L1D prefetcher (a design name)
+    std::string l2 = "none";     //!< L2 prefetcher (a design name)
+    StreamlineConfig streamline; //!< used by the "streamline" design
+    TriangelConfig triangel;     //!< used by the "triangel*" designs
     unsigned dramMTs = 3200;
     double traceScale = -1.0;    //!< <=0: SL_TRACE_SCALE default
     std::uint64_t seed = 1;
@@ -38,10 +38,30 @@ struct RunConfig
 
     /**
      * Reject unrunnable configurations; throws SimError. Unknown
-     * prefetcher names fail here with the list of registered names.
+     * prefetcher names fail here with the list of known names.
      */
     void validate() const;
 };
+
+/**
+ * One prefetcher design the runner builds by name. Every design can
+ * attach at the L2; @c l1 marks those that can also attach at the L1D.
+ */
+struct PrefetcherDesign
+{
+    std::string name;
+    bool l1;
+    /** Build one instance with the run's tuning; null for "none". */
+    std::unique_ptr<Prefetcher> (*make)(const RunConfig& cfg);
+};
+
+/** Every design, in listing order ("none" first). A name may fix a
+ *  constructor flag: "triage_ideal" is Triage with unlimited metadata. */
+const std::vector<PrefetcherDesign>& prefetcherDesigns();
+
+/** The design named @p name if it can attach at the L1D (@p l1) or the
+ *  L2, else null. */
+const PrefetcherDesign* findPrefetcher(const std::string& name, bool l1);
 
 /** Per-core outcome. */
 struct CoreResult
@@ -197,8 +217,9 @@ RunResult runWorkloadsRaw(const RunConfig& cfg,
 /**
  * The SystemConfig runWorkloadsRaw builds for @p cfg, exposed so other
  * drivers (the sampled checkpoint generator) construct bit-identical
- * Systems. @p cfg must outlive the System: the prefetcher factories
- * capture PrefetcherTuning pointers into it.
+ * Systems. The prefetcher factories hold their own copy of @p cfg, so
+ * it need not outlive the System. Throws SimError, as validate() does,
+ * on an unknown prefetcher name.
  */
 SystemConfig systemConfigFor(const RunConfig& cfg);
 

@@ -169,7 +169,7 @@ System::System(const SystemConfig& cfg, std::vector<TracePtr> traces)
         cores_.back()->setTelemetry(telemetry_.get());
 
         if (cfg.l1dPrefetcher) {
-            auto pf = cfg.l1dPrefetcher(static_cast<int>(c));
+            auto pf = cfg.l1dPrefetcher();
             pf->setFaultInjector(faults_.get());
             pf->setPressure(pressure_.get());
             pf->attach(l1ds_.back().get(), llc_.get(), &eq_,
@@ -181,7 +181,7 @@ System::System(const SystemConfig& cfg, std::vector<TracePtr> traces)
         }
 
         if (cfg.l2Prefetcher) {
-            auto pf = cfg.l2Prefetcher(static_cast<int>(c));
+            auto pf = cfg.l2Prefetcher();
             pf->setFaultInjector(faults_.get());
             pf->setPressure(pressure_.get());
             pf->attach(l2s_.back().get(), llc_.get(), &eq_,

@@ -420,8 +420,6 @@ class Telemetry
         incidents_.push_back({cycle, kind, std::move(detail)});
     }
 
-    const std::vector<Incident>& incidents() const { return incidents_; }
-
     /** Flatten sampler + histograms + incidents into plain data. */
     TelemetryData data() const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/hash.hh"
-#include "prefetch/registry.hh"
 
 namespace sl
 {
@@ -151,29 +150,8 @@ TriagePrefetcher::maybeResize(Cycle now)
     const std::uint64_t moved = store_->resize(best_ways);
     stats_.counter("shuffle_blocks") += moved;
     llc_->metadataBulkTraffic(moved, now);
-    if (growing) {
-        // Newly reserved ways must evict resident data.
-        for (std::uint32_t s = 0; s < metadataSets(); ++s)
-            llc_->reclaimReservedWays(physicalSet(s), now);
-    }
-}
-
-void
-registerTriagePrefetchers(PrefetcherRegistry& reg)
-{
-    reg.add("triage", PrefetcherRegistry::L2,
-            [](const PrefetcherTuning&) -> PrefetcherFactory {
-                return [](int) { return std::make_unique<TriagePrefetcher>(); };
-            });
-    // The idealised variant is the same class with unbounded zero-cost
-    // metadata; this name is the only way to select it.
-    reg.add("triage_ideal", PrefetcherRegistry::L2,
-            [](const PrefetcherTuning&) -> PrefetcherFactory {
-                return [](int) {
-                    return std::make_unique<TriagePrefetcher>(
-                        TriageConfig{}, /*unlimited=*/true);
-                };
-            });
+    if (growing)
+        reclaimMetadataWays(now); // newly reserved ways evict their data
 }
 
 } // namespace sl

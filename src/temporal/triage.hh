@@ -44,7 +44,7 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
     static constexpr unsigned kMaxWays = 8;
 
     /** @p unlimited: the idealised variant, unbounded zero-cost metadata
-     *  (built by the registry's `triage_ideal`). */
+     *  (the `triage_ideal` design). */
     explicit TriagePrefetcher(const TriageConfig& cfg = {},
                               bool unlimited = false);
 

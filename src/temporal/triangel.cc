@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/hash.hh"
-#include "prefetch/registry.hh"
 
 namespace sl
 {
@@ -323,34 +322,8 @@ TriangelPrefetcher::resizeTo(unsigned ways, Cycle now)
     const std::uint64_t moved = store_->resize(ways);
     stats_.counter("shuffle_blocks") += moved;
     llc_->metadataBulkTraffic(moved, now);
-    if (growing) {
-        for (std::uint32_t s = 0; s < metadataSets(); ++s)
-            llc_->reclaimReservedWays(physicalSet(s), now);
-    }
-}
-
-void
-registerTriangelPrefetchers(PrefetcherRegistry& reg)
-{
-    reg.add("triangel", PrefetcherRegistry::L2,
-            [](const PrefetcherTuning& t) -> PrefetcherFactory {
-                const TriangelConfig cfg =
-                    t.triangel ? *t.triangel : TriangelConfig{};
-                return [cfg](int) {
-                    return std::make_unique<TriangelPrefetcher>(cfg);
-                };
-            });
-    // The only way to select the ideal mode: dedicated full-size store,
-    // no LLC metadata.
-    reg.add("triangel_ideal", PrefetcherRegistry::L2,
-            [](const PrefetcherTuning& t) -> PrefetcherFactory {
-                const TriangelConfig cfg =
-                    t.triangel ? *t.triangel : TriangelConfig{};
-                return [cfg](int) {
-                    return std::make_unique<TriangelPrefetcher>(
-                        cfg, /*ideal=*/true);
-                };
-            });
+    if (growing)
+        reclaimMetadataWays(now);
 }
 
 } // namespace sl

@@ -8,7 +8,7 @@
  * (3) set-dueling dynamic partitioning over 9 sizes (0..8 ways) that
  * rearranges misplaced metadata after each resize -- the costly shuffle
  * Streamline eliminates. Targets are stored uncompressed (12
- * correlations/block). The registry's `triangel_ideal` builds
+ * correlations/block). The `triangel_ideal` design builds
  * Triangel-Ideal (Fig 13a): a dedicated 1MB store outside the LLC.
  */
 
@@ -18,7 +18,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/ring_buffer.hh"
 #include "prefetch/prefetcher.hh"
 #include "temporal/pairwise_store.hh"
 #include "temporal/sampler.hh"

@@ -1,6 +1,6 @@
 /**
  * @file
- * Registry and batch-runner tests: every registered prefetcher
+ * Prefetcher-table and batch-runner tests: every prefetcher design
  * constructs by name and round-trips it, unknown names fail loudly,
  * parallel batches are bit-identical to serial execution, and a failing
  * job reports its SimError without killing siblings.
@@ -10,10 +10,10 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
-#include "prefetch/registry.hh"
 #include "sim/batch.hh"
 #include "sim/runner.hh"
 #include "trace/workloads.hh"
@@ -25,12 +25,13 @@ namespace
 
 constexpr double kTinyScale = 0.05;
 
-// ---------- registry ----------
+// ---------- prefetcher designs ----------
 
 TEST(Registry, EveryL2NameConstructsAndRoundTrips)
 {
-    PrefetcherRegistry& reg = prefetcherRegistry();
-    const auto names = reg.names(PrefetcherRegistry::L2);
+    std::vector<std::string> names;
+    for (const auto& d : prefetcherDesigns())
+        names.push_back(d.name);
 
     // The paper's full roster must be present.
     for (const char* expected :
@@ -39,18 +40,19 @@ TEST(Registry, EveryL2NameConstructsAndRoundTrips)
           "triangel_ideal"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
-            << expected << " missing from the L2 registry";
+            << expected << " missing from the L2 designs";
     }
 
     for (const auto& name : names) {
-        PrefetcherFactory factory =
-            reg.make(name, PrefetcherRegistry::L2, PrefetcherTuning{});
+        RunConfig cfg;
+        cfg.l2 = name;
+        PrefetcherFactory factory = systemConfigFor(cfg).l2Prefetcher;
         if (name == "none") {
             EXPECT_FALSE(static_cast<bool>(factory));
             continue;
         }
         ASSERT_TRUE(static_cast<bool>(factory)) << name;
-        auto pf = factory(0);
+        auto pf = factory();
         ASSERT_NE(pf, nullptr) << name;
         EXPECT_EQ(pf->name(), name);
     }
@@ -58,16 +60,32 @@ TEST(Registry, EveryL2NameConstructsAndRoundTrips)
 
 TEST(Registry, EveryL1NameConstructsAndRoundTrips)
 {
-    PrefetcherRegistry& reg = prefetcherRegistry();
-    for (const auto& name : reg.names(PrefetcherRegistry::L1)) {
-        PrefetcherFactory factory =
-            reg.make(name, PrefetcherRegistry::L1, PrefetcherTuning{});
-        if (name == "none")
+    for (const auto& d : prefetcherDesigns()) {
+        if (!d.l1)
             continue;
-        auto pf = factory(0);
-        ASSERT_NE(pf, nullptr) << name;
-        EXPECT_EQ(pf->name(), name);
+        RunConfig cfg;
+        cfg.l1 = d.name;
+        PrefetcherFactory factory = systemConfigFor(cfg).l1dPrefetcher;
+        if (d.name == "none")
+            continue;
+        auto pf = factory();
+        ASSERT_NE(pf, nullptr) << d.name;
+        EXPECT_EQ(pf->name(), d.name);
     }
+}
+
+TEST(Registry, ListPrefetchersPrintsTableOrder)
+{
+    // Every design attaches at the L2, the regular ones at the L1D too,
+    // "none" first: sl_run --list-prefetchers prints exactly this.
+    char prog[] = "sl_run", flag[] = "--list-prefetchers";
+    char* argv[] = {prog, flag};
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(runnerMain(2, argv), 0);
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+              "l1: none stride berti ipcp bingo spp_ppf\n"
+              "l2: none stride berti ipcp bingo spp_ppf streamline triage "
+              "triage_ideal triangel triangel_ideal\n");
 }
 
 TEST(Registry, IdealVariantsApplyConfigOverrides)
@@ -75,42 +93,47 @@ TEST(Registry, IdealVariantsApplyConfigOverrides)
     // "triage_ideal" / "triangel_ideal" are the only ideal-mode
     // selectors: the same class built with its ideal constructor flag,
     // visible via the stat name, whatever tuning the run carries.
-    PrefetcherRegistry& reg = prefetcherRegistry();
-    TriangelConfig triangel;
-    PrefetcherTuning t;
-    t.triangel = &triangel;
-
-    EXPECT_EQ(reg.make("triage_ideal", PrefetcherRegistry::L2, t)(0)
-                  ->name(),
+    const RunConfig cfg;
+    EXPECT_EQ(findPrefetcher("triage_ideal", false)->make(cfg)->name(),
               "triage_ideal");
-    EXPECT_EQ(reg.make("triangel_ideal", PrefetcherRegistry::L2, t)(0)
-                  ->name(),
+    EXPECT_EQ(findPrefetcher("triangel_ideal", false)->make(cfg)->name(),
               "triangel_ideal");
 }
 
 TEST(Registry, UnknownNameThrowsWithKnownNames)
 {
+    RunConfig cfg;
+    cfg.l2 = "streamlime";
     try {
-        prefetcherRegistry().require("streamlime",
-                                     PrefetcherRegistry::L2);
+        cfg.validate();
         FAIL() << "expected SimError";
     } catch (const SimError& e) {
         EXPECT_EQ(e.component(), "prefetcher_registry");
         // The message lists the valid names so typos are self-fixing.
         EXPECT_NE(std::string(e.what()).find("streamline"),
                   std::string::npos);
+        EXPECT_EQ(e.detail(),
+                  "unknown prefetcher 'streamlime'; L2 names: none stride "
+                  "berti ipcp bingo spp_ppf streamline triage triage_ideal "
+                  "triangel triangel_ideal");
     }
 }
 
 TEST(Registry, LevelMismatchThrows)
 {
     // Streamline is L2-only; asking for it at the L1D must fail.
-    EXPECT_THROW(
-        prefetcherRegistry().require("streamline",
-                                     PrefetcherRegistry::L1),
-        SimError);
-    EXPECT_TRUE(
-        prefetcherRegistry().has("berti", PrefetcherRegistry::L1));
+    RunConfig cfg;
+    cfg.l1 = "streamline";
+    try {
+        cfg.validate();
+        FAIL() << "expected SimError";
+    } catch (const SimError& e) {
+        EXPECT_EQ(e.detail(), "prefetcher 'streamline' cannot attach at L1; "
+                              "L1 names: none stride berti ipcp bingo "
+                              "spp_ppf");
+    }
+    EXPECT_THROW(systemConfigFor(cfg), SimError);
+    EXPECT_NE(findPrefetcher("berti", true), nullptr);
 }
 
 TEST(Registry, RunConfigValidateRejectsUnknownNames)
@@ -122,6 +145,32 @@ TEST(Registry, RunConfigValidateRejectsUnknownNames)
     RunConfig ok;
     ok.l2 = "triangel";
     EXPECT_NO_THROW(ok.validate());
+}
+
+TEST(RunnerMain, RejectsMalformedNumbers)
+{
+    // Each value once ran a simulation on what a prefix parse made of
+    // it (one core, scale 0.02, seed 2^64-1, a 1 s budget).
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--cores", "x"},
+        {"--scale", "0.02x"},
+        {"--seed", "-1"},
+        {"--job-timeout", "1s"},
+    };
+    for (const auto& [flag, bad] : cases) {
+        std::vector<std::string> args = {"sl_run", "--scale", "0.02",
+                                         flag, bad, "spec06_mcf"};
+        std::vector<char*> argv;
+        for (auto& a : args)
+            argv.push_back(a.data());
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(runnerMain(static_cast<int>(argv.size()), argv.data()),
+                  2)
+            << flag << " " << bad;
+        EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+                  "sl_run: " + flag + " needs a number, got '" + bad +
+                      "'\n");
+    }
 }
 
 // ---------- hardening validation (rides on RunConfig::validate) ----------

@@ -283,10 +283,12 @@ TEST(SamplingCheckpoint, OlderFormatCheckpointsRegenerate)
         .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 
     // The stale file must not satisfy the warm path: the boundary is
-    // generated again and restores.
+    // generated again and restores, and the file no build can restore
+    // is gone.
     EXPECT_NE(fresh, legacy.str());
     EXPECT_EQ(generateCheckpoints(cfg, "spec06_mcf", {record}, dir.path()),
               1u);
+    EXPECT_FALSE(std::filesystem::exists(legacy.str()));
     RunHooks hooks;
     hooks.restorePath = fresh;
     EXPECT_NO_THROW(runWorkloadsRaw(cfg, {"spec06_mcf"}, hooks));

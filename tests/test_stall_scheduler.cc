@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "prefetch/registry.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "trace/workloads.hh"
@@ -65,20 +64,16 @@ constexpr PollingRun kPolling[] = {
 
 TEST(FastWakeEquivalence, DefaultAndFastWakeAgree)
 {
-    PrefetcherRegistry& reg = prefetcherRegistry();
-    const PrefetcherTuning tuning;
+    RunConfig cfg; // stride L1D
+    cfg.l2 = "streamline";
     for (const PollingRun& poll : kPolling) {
         const char* w = poll.workload;
         clearTraceCache();
-        SystemConfig sc;
+        SystemConfig sc = systemConfigFor(cfg);
         // The InvariantAuditor checks MSHR/downstream accounting and the
         // waiter invariants (a parked waiter against a free resource with
         // no wake probe in flight throws) every 10K cycles.
         sc.hardening.auditInterval = 10'000;
-        sc.l1dPrefetcher = reg.make("stride", PrefetcherRegistry::L1,
-                                    tuning);
-        sc.l2Prefetcher =
-            reg.make("streamline", PrefetcherRegistry::L2, tuning);
         System sys(sc, {getTrace(w, 0.05, /*seed=*/1)});
         sys.run();
         EXPECT_GT(sys.l1d(0).stats().counter("mshr_retries").value(), 0u)
@@ -139,16 +134,14 @@ TEST(FastWakeEquivalence, DefaultAndFastWakeAgree)
 // and check that the LLC never parks a request.
 TEST(LlcMshrBound, TwoCoreStormNeverParksAtTheLlc)
 {
-    PrefetcherRegistry& reg = prefetcherRegistry();
-    const PrefetcherTuning tuning;
+    RunConfig cfg; // stride L1D
+    cfg.l2 = "streamline";
     clearTraceCache();
-    SystemConfig sc;
+    SystemConfig sc = systemConfigFor(cfg);
     sc.cores = 2;
     sc.l2Mshrs = 8;
     sc.llcMshrsPerCore = 8;
     sc.hardening.auditInterval = 10'000;
-    sc.l1dPrefetcher = reg.make("stride", PrefetcherRegistry::L1, tuning);
-    sc.l2Prefetcher = reg.make("streamline", PrefetcherRegistry::L2, tuning);
     System sys(sc, {getTrace("gap_pr", 0.05, /*seed=*/1),
                     getTrace("spec06_mcf", 0.05, /*seed=*/1)});
     sys.run();
